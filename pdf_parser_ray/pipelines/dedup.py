@@ -38,7 +38,7 @@ from ..functions.hashing import (
     simhash64,
 )
 from .textstats import TOKEN_RE
-from .extract_pipeline import default_concurrency
+from .extract_pipeline import actor_pool
 
 DUP_OFFSET = 10_000_000
 
@@ -898,133 +898,6 @@ def url_dedup_windowed(sf_dir: str, window_hours: int = 48):
     )
 
 
-def label_propagation_clusters(pairs_ds, max_rounds: int = 50):
-    """Distributed connected components by iterative min-label
-    propagation over a pairs Dataset (columns ``a``, ``b``): returns a
-    Dataset of (doc_id, cluster_id) with cluster_id = min doc_id of the
-    component, components of size > 1 only.
-
-    Each round: every node's label becomes the min of its own label
-    and its neighbors' labels — two native groupby/aggregate shuffles
-    over (node, label) pairs, whose volume is O(edges), never the
-    corpus. Rounds converge in O(component diameter) (dup clusters are
-    near-cliques -> 2-3 rounds). The per-round convergence probe is a
-    single aggregated scalar (sum of labels, strictly decreasing until
-    fixpoint) — the only thing that ever reaches the driver."""
-    from ray.data.aggregate import Min, Sum
-
-    # normalize to uniform Arrow blocks: upstream map_groups emits
-    # pandas blocks but empty partitions surface as Arrow, and Ray's
-    # sort sampler asserts on a mixed-block dataset
-    edges = (
-        pairs_ds.select_columns(["a", "b"])
-        .map_batches(lambda t: t, batch_format="pyarrow")
-        .materialize()
-    )
-    if edges.count() == 0:
-        # no duplicate pairs -> no clusters; empty blocks lose their
-        # schema through joins, so short-circuit with a typed empty
-        import ray.data
-
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "cluster_id": pa.array([], pa.int64()),
-                }
-            )
-        )
-
-    def both_dirs(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "node": pa.concat_arrays(
-                    [t["a"].combine_chunks(), t["b"].combine_chunks()]
-                ),
-                "nbr": pa.concat_arrays(
-                    [t["b"].combine_chunks(), t["a"].combine_chunks()]
-                ),
-            }
-        )
-
-    sym = edges.map_batches(both_dirs, batch_format="pyarrow").materialize()
-
-    # labels(node) = min neighbor-or-self; init = min(node, min nbr)
-    def init_label(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table(
-            {"node": t["node"], "label": pc.min_element_wise(t["node"], t["nbr"])}
-        )
-
-    labels = (
-        sym.map_batches(init_label, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Min("label", alias_name="label"))
-        .materialize()
-    )
-
-    def _label_sum(ds) -> int:
-        # Ray's Dataset.aggregate returns None on an empty dataset
-        row = ds.aggregate(Sum("label", alias_name="s"))
-        return int(row["s"]) if row and row["s"] is not None else 0
-
-    def _as_arrow(ds):
-        # both union arms must carry the SAME block type or Ray's sort
-        # sampler asserts (join and aggregate outputs can differ)
-        return ds.map_batches(lambda t: t, batch_format="pyarrow")
-
-    def label_edges(t: pa.Table) -> pa.Table:
-        # (node -> label) as an extra propagation edge: joining it with
-        # labels yields label(label(node)) — POINTER DOUBLING, so the
-        # propagation distance doubles per round and convergence is
-        # O(log diameter) instead of O(diameter) (a 10^6-long chain
-        # converges in ~20 rounds, not 10^6)
-        return pa.table({"node": t["node"], "nbr": t["label"]})
-
-    converged = False
-    prev_sum = _label_sum(labels)
-    for _ in range(max_rounds):
-        # propagate: neighbor labels flow along graph edges AND along
-        # the current node->label assignment, then min-reduce
-        round_edges = sym.union(
-            _as_arrow(labels.map_batches(label_edges, batch_format="pyarrow"))
-        )
-        prop = round_edges.join(
-            labels,
-            join_type="inner",
-            num_partitions=_join_partitions(),
-            on=("nbr",),
-            right_on=("node",),
-        ).select_columns(["node", "label"])
-        labels = (
-            _as_arrow(prop)
-            .union(_as_arrow(labels))
-            .groupby("node")
-            .aggregate(Min("label", alias_name="label"))
-            .materialize()
-        )
-        cur_sum = _label_sum(labels)
-        if cur_sum == prev_sum:
-            converged = True
-            break
-        prev_sum = cur_sum
-    if not converged:
-        # an unconverged fixpoint would silently return WRONG cluster
-        # ids (label != component min); with pointer doubling this needs
-        # component diameter > 2^max_rounds, so reaching here means a
-        # genuine bug or an absurd max_rounds override
-        raise RuntimeError(
-            f"label propagation did not converge in {max_rounds} rounds"
-        )
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table({"doc_id": t["node"], "cluster_id": t["label"]})
-
-    # every node here came from an edge => component size > 1 already
-    return labels.map_batches(finish, batch_format="pyarrow")
-
-
 def _typed_empty_clusters():
     import ray.data
 
@@ -1042,14 +915,13 @@ def star_contraction_clusters(pairs_ds, max_rounds: int = 30):
     """Distributed connected components by alternating large-star /
     small-star contraction (the public MapReduce CC algorithm of
     Kiveris et al. 2014, "Connected Components in MapReduce and
-    Beyond"): same output contract as ``label_propagation_clusters``
-    — (doc_id, cluster_id = component-min doc_id), components of
-    size > 1 only — but converges in O(log n) rounds on ANY graph
-    topology (label propagation with pointer doubling needs
-    O(log diameter) rounds AND keeps both the O(nodes) label table and
-    the O(2·edges) symmetrized edge list pinned; here the only
-    materialized state is the edge set itself, which the contraction
-    shrinks monotonically toward one star per component).
+    Beyond"): returns (doc_id, cluster_id = component-min doc_id) for
+    components of size > 1 only, and converges in O(log n) rounds on
+    ANY graph topology (min-label propagation with pointer doubling
+    needs O(log diameter) rounds AND keeps both the O(nodes) label
+    table and the O(2·edges) symmetrized edge list pinned; here the
+    only materialized state is the edge set itself, which the
+    contraction shrinks monotonically toward one star per component).
 
     Each half-round is one coarse-bucket shuffle over (node, nbr)
     rows + a vectorized in-group pandas reduce:
@@ -1218,21 +1090,18 @@ def dedup_clusters(sf_dir: str, threshold: float = 0.999):
     cluster_id) for every document in a component of size > 1, with
     cluster_id = min doc_id of the component.
 
-    Default path is alternating star contraction
-    (``star_contraction_clusters``) — O(log n) rounds, edge-set-only
-    state, no ``take_all()`` of the pair set, so a dup-heavy corpus
-    (mirror sites) cannot OOM the driver. ``label_propagation_clusters``
-    (pointer-doubling min-label propagation) and ``union_find_clusters``
-    (driver-side fast path for provably-small pair sets) remain as
-    alternates."""
+    Runs alternating star contraction (``star_contraction_clusters``)
+    — O(log n) rounds, edge-set-only state, no ``take_all()`` of the
+    pair set, so the pairs of a dup-heavy corpus (mirror sites) never
+    have to fit in one process. ``union_find_clusters`` is the
+    in-memory reference the tests compare it against."""
     pairs = minhash_dup_pairs(sf_dir, threshold=threshold)
     return star_contraction_clusters(pairs)
 
 
 def union_find_clusters(pairs_rows) -> "pd.DataFrame":
-    """Driver-side union-find fallback over an in-memory pair list —
-    the small-input fast path (same output contract as
-    ``label_propagation_clusters``)."""
+    """Union-find over an in-memory pair list — the test
+    oracle for ``star_contraction_clusters`` (same output contract)."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -1289,7 +1158,7 @@ def simhash_fingerprints(sf_dir: str, max_hamming: int = 6):
                 }
             )
 
-    banded = ds.map_batches(SimHashStage, batch_format="pyarrow", concurrency=default_concurrency())
+    banded = ds.map_batches(SimHashStage, batch_format="pyarrow", **actor_pool())
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         a_out, b_out = [], []

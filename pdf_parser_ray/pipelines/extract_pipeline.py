@@ -28,13 +28,22 @@ from ..state import manifest as mf
 DEFAULT_NUM_PARTITIONS = 256
 
 
-def default_concurrency() -> tuple[int, int]:
-    """Actor-pool size leaving headroom for the read/route/write stages."""
+def actor_pool(size: int | None = None) -> dict:
+    """``map_batches`` arguments for an actor pool sized from the Ray CPU
+    claim, leaving at least one CPU to the read/route/write tasks.
+
+    The pool autoscales up to ``max(2, cpus - 2)`` actors at 3 CPUs and
+    more, and is a single actor below 3 CPUs; ``size`` asks for a fixed
+    pool of at most that many actors instead. At a 1-CPU claim the actor
+    holds no CPU: any CPU it held would leave ReadParquet unschedulable."""
     import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 8))
-    hi = max(2, cpus - 2)
-    return (max(1, hi // 2), hi)
+    hi = max(2, cpus - 2) if cpus > 2 else 1
+    pool = {"concurrency": (max(1, hi // 2), hi) if size is None else min(size, hi)}
+    if cpus < 2:
+        pool["num_cpus"] = 0
+    return pool
 
 
 def build_extract_ds(
@@ -58,13 +67,9 @@ def build_extract_ds(
     ds = pages_ds.map_batches(
         make_router(num_partitions), batch_format="pyarrow"
     )
-    if concurrency is None:
-        concurrency = default_concurrency()
+    pool = actor_pool() if concurrency is None else {"concurrency": concurrency}
     return ds.map_batches(
-        Extractor,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        Extractor, batch_format="pyarrow", batch_size=batch_size, **pool
     )
 
 
@@ -214,9 +219,10 @@ def run_extract_job(
 
     Giant lane: rows whose payload exceeds ``giant_cap`` (default
     stages.extract.GIANT_ROW_BYTES) skip the main pool and are
-    processed by a final dedicated unit — an uncapped 2-actor pool
-    with single-row batches, so one multi-GiB document never stalls
-    the fleet and still produces real output.
+    processed by a final dedicated unit — an uncapped pool of at most
+    2 actors (fewer on a small CPU claim) with single-row batches, so
+    one multi-GiB document never stalls the fleet and still produces
+    real output.
 
     ``staging_dir``: route + hive-partition the input by unit ONCE
     (stage_pages) so each unit reads only its own files instead of
@@ -231,6 +237,7 @@ def run_extract_job(
 
     if giant_cap is None:
         giant_cap = GIANT_ROW_BYTES
+    pool = actor_pool() if concurrency is None else {"concurrency": concurrency}
     if staging_dir is None and num_units >= 32:
         # keyed by the input path so a different input never reuses a
         # stale staging layout (stage_pages is idempotent per dir)
@@ -323,8 +330,8 @@ def run_extract_job(
                 Extractor,
                 batch_format="pyarrow",
                 batch_size=1,
-                concurrency=2,
                 fn_constructor_kwargs={"giant_cap": None},
+                **actor_pool(size=2),
             )
         else:
             unit_ds = routed.map_batches(
@@ -343,9 +350,7 @@ def run_extract_job(
                 Extractor,
                 batch_format="pyarrow",
                 batch_size=batch_size,
-                concurrency=concurrency
-                if concurrency is not None
-                else default_concurrency(),
+                **pool,
             )
 
         unit_out = mf.unit_out_dir(out_dir, unit_id)

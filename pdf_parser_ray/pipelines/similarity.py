@@ -23,7 +23,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .extract_pipeline import default_concurrency
+from .extract_pipeline import actor_pool
 
 DUP_OFFSET = 10_000_000
 # embeddings dimension is inferred from the data (64 in the testdata)
@@ -374,7 +374,7 @@ def embedding_dup_pairs(sf_dir: str, threshold: float = 0.999):
     return base.map_batches(
         PairFinder,
         batch_format="pyarrow",
-        concurrency=default_concurrency(),
+        **actor_pool(),
         fn_constructor_args=(ref, threshold),
     )
 
@@ -517,7 +517,7 @@ def lsh_bucketed_dup_pairs(sf_dir: str, threshold: float = 0.999, n_tables: int 
         base.map_batches(
             HyperplaneBucketizer,
             batch_format="pyarrow",
-            concurrency=default_concurrency(),
+            **actor_pool(),
             fn_constructor_args=(n_tables, n_bits, seed, _coarse_buckets()),
         )
         .groupby("shuffle_bucket")

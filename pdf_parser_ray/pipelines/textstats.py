@@ -16,7 +16,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..functions.hashing import fnv1a64, shingle_hashes, simhash64
-from .extract_pipeline import default_concurrency
+from .extract_pipeline import actor_pool
 
 TOKEN_RE = r"[A-Za-z0-9]+"
 STOPWORDS = ("the", "and", "of", "a", "to", "in")
@@ -146,14 +146,14 @@ def lang_id(sf_dir: str):
     ds = ray.data.read_parquet(
         documents_path(sf_dir), columns=["doc_id", "text", "lang"]
     )
-    return ds.map_batches(LangId, batch_format="pyarrow", concurrency=default_concurrency())
+    return ds.map_batches(LangId, batch_format="pyarrow", **actor_pool())
 
 
 def fingerprints(sf_dir: str):
     import ray.data
 
     ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
-    return ds.map_batches(Fingerprinter, batch_format="pyarrow", concurrency=default_concurrency())
+    return ds.map_batches(Fingerprinter, batch_format="pyarrow", **actor_pool())
 
 
 # -- bounded inverted-index postings ------------------------------------------
@@ -280,7 +280,7 @@ def quality_classifier_score(sf_dir: str):
     return ds.map_batches(
         QualityClassifier,
         batch_format="pandas",
-        concurrency=default_concurrency(),
+        **actor_pool(),
         fn_constructor_args=(weights_ref,),
     )
 

@@ -35,7 +35,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .extract_pipeline import default_concurrency
+from .extract_pipeline import actor_pool
 
 TOKEN_RE = r"[A-Za-z0-9]+"
 # Kept RE2-compatible on purpose: no backrefs/lookaround, so the DuckDB
@@ -94,19 +94,14 @@ class PiiRedactor:
         )
 
 
-def pii_redact(sf_dir: str, concurrency=None):
+def pii_redact(sf_dir: str):
     """Pool sizing follows the extract stage's cluster-sized default
-    (``extract_pipeline.default_concurrency``) — a fixed (1, 4) cap
-    would starve a fleet; callers with tiny oracle inputs can still
-    pass an explicit override."""
+    (``extract_pipeline.actor_pool``) — a fixed (1, 4) cap would
+    starve a fleet."""
     import ray.data
 
-    if concurrency is None:
-        concurrency = default_concurrency()
     ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
-    return ds.map_batches(
-        PiiRedactor, batch_format="pandas", concurrency=concurrency
-    )
+    return ds.map_batches(PiiRedactor, batch_format="pandas", **actor_pool())
 
 
 # -- Gopher repetition signals ----------------------------------------------
@@ -147,7 +142,7 @@ def gopher_repetition(sf_dir: str):
     import ray.data
 
     ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
-    return ds.map_batches(RepetitionStats, batch_format="pyarrow", concurrency=default_concurrency())
+    return ds.map_batches(RepetitionStats, batch_format="pyarrow", **actor_pool())
 
 
 # -- URL domain stats -------------------------------------------------------

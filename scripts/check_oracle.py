@@ -49,7 +49,7 @@ def main():
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=8,
+            num_cpus=len(os.sched_getaffinity(0)),
             include_dashboard=False,
             logging_level="ERROR",
         )

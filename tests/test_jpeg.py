@@ -295,7 +295,11 @@ def test_media_meta_decodes_real_jpeg():
     in-container codec)."""
     import pyarrow as pa
 
-    from pdf_parser_ray.pipelines.multimodal import MediaMeta
+    from pdf_parser_ray.pipelines.multimodal import (
+        MEDIA_META_SCHEMA,
+        RowStage,
+        media_meta_row,
+    )
 
     jpg = encode_jpeg(bytes(range(48)), 4, 4, 3)
     t = pa.table(
@@ -304,7 +308,7 @@ def test_media_meta_decodes_real_jpeg():
             "html": pa.array([jpg], pa.binary()),
         }
     )
-    out = MediaMeta()(t)
+    out = RowStage(media_meta_row, MEDIA_META_SCHEMA)(t)
     assert out["mime"][0].as_py() == "image/jpeg"
     assert out["decoded"][0].as_py() is True
     assert out["width"][0].as_py() == 4 and out["height"][0].as_py() == 4
@@ -375,7 +379,11 @@ def test_media_meta_survives_corrupt_jpeg():
     undecoded row, never a job-killing exception."""
     import pyarrow as pa
 
-    from pdf_parser_ray.pipelines.multimodal import MediaMeta
+    from pdf_parser_ray.pipelines.multimodal import (
+        MEDIA_META_SCHEMA,
+        RowStage,
+        media_meta_row,
+    )
 
     t = pa.table(
         {
@@ -383,7 +391,7 @@ def test_media_meta_survives_corrupt_jpeg():
             "html": pa.array([b"\xff\xd8\xff\xc0\x00\x03\x08"], pa.binary()),
         }
     )
-    out = MediaMeta()(t)
+    out = RowStage(media_meta_row, MEDIA_META_SCHEMA)(t)
     assert out["mime"][0].as_py() == "image/jpeg"
     assert out["decoded"][0].as_py() is False
 

@@ -286,3 +286,59 @@ def test_cli_run_extract_and_manifest(ray_session, tmp_path, capsys):
     entries = list(units.values()) if isinstance(units, dict) else list(units)
     assert len(entries) >= 2  # 2 data units (+ possible summary entry)
     assert sum(u["rows"] for u in entries) == 500
+
+
+_SMALL_CLAIM_JOB = """
+import collections, glob, os, sys
+import pyarrow.parquet as pq
+import ray
+import ray.data
+
+ray.init(address="local", num_cpus=int(sys.argv[1]), include_dashboard=False,
+         logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+from pdf_parser_ray.pipelines.extract_pipeline import build_extract_ds, run_extract_job
+from pdf_parser_ray.sources.synth import synth_batch
+
+tmp = sys.argv[2]
+docs = pq.read_table(sys.argv[3]).slice(0, 200)
+pages = os.path.join(tmp, "pages.parquet")
+pq.write_table(synth_batch(docs), pages)
+build_extract_ds(ray.data.read_parquet(pages)).write_parquet(os.path.join(tmp, "ds"))
+run_extract_job(pages, os.path.join(tmp, "job"), num_units=2)
+for out in ("ds", os.path.join("job", "unit=*")):
+    urls = [u for f in glob.glob(os.path.join(tmp, out, "*.parquet"))
+            for u in pq.read_table(f, columns=["url"])["url"].to_pylist()]
+    counts = collections.Counter(urls)
+    assert len(counts) == 200 and set(counts.values()) == {1}, (out, len(urls))
+ray.shutdown()
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("num_cpus", [1, 2])
+def test_default_pools_finish_on_small_claim(num_cpus, tmp_path):
+    """At a 1- or 2-CPU claim the default actor pools must leave a CPU to
+    the read/route/write tasks: an actor pool holding every CPU leaves
+    ReadParquet unschedulable and the job hangs. Runs in its own Ray
+    (the shared ``ray_session`` fixture claims 4 CPUs), in a subprocess
+    under a timeout."""
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SMALL_CLAIM_JOB, str(num_cpus), str(tmp_path),
+         os.path.join(SF, "documents.parquet")],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, _ = proc.communicate()
+        pytest.fail(f"extract job at num_cpus={num_cpus} did not finish:\n{out[-2000:]}")
+    assert proc.returncode == 0 and out.rstrip().endswith("ok"), out[-2000:]

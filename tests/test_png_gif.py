@@ -336,10 +336,14 @@ def test_kmv_kth_zero_saturates():
 def test_gif_frame_sampler_hand_case(ray_session, tmp_path):
     import pyarrow as pa
 
-    from pdf_parser_ray.pipelines.multimodal import GifFrameSampler
+    from pdf_parser_ray.pipelines.multimodal import (
+        GIF_FRAME_SCHEMA,
+        RowStage,
+        gif_frame_row,
+    )
 
     batch = pa.table({"doc_id": pa.array([3], pa.int64())})
-    out = GifFrameSampler()(batch).to_pandas()
+    out = RowStage(gif_frame_row, GIF_FRAME_SCHEMA)(batch).to_pandas()
     # doc 3: n_frames = 2 + 3%4 = 5 -> sampled frames 0, 2, 4
     assert list(out["frame_idx"]) == [0, 2, 4]
     assert (out["n_frames"] == 5).all()

@@ -111,37 +111,6 @@ def test_minhash_batch_signatures_match_scalar():
     assert (keys[:, 0] == keys[:, 1]).all()
 
 
-def test_label_propagation_chain_graph(ray_session):
-    """A path graph (diameter 7) forces multiple propagation rounds —
-    the corpus's near-clique dup clusters converge in 1-2, so this
-    pins the loop logic itself. Expected: one component labeled by its
-    min node."""
-    import pandas as pd
-    import ray.data
-
-    from pdf_parser_ray.pipelines.dedup import (
-        label_propagation_clusters,
-        union_find_clusters,
-    )
-
-    edges = [(i, i + 1) for i in range(10, 17)] + [(30, 31), (40, 41), (40, 42)]
-    pairs = ray.data.from_pandas(
-        pd.DataFrame({"a": [a for a, _ in edges], "b": [b for _, b in edges]})
-    )
-    got = sorted(
-        (r["doc_id"], r["cluster_id"])
-        for r in label_propagation_clusters(pairs).take_all()
-    )
-    expected = sorted(
-        (int(r["doc_id"]), int(r["cluster_id"]))
-        for _, r in union_find_clusters(
-            [{"a": a, "b": b} for a, b in edges]
-        ).iterrows()
-    )
-    assert got == expected
-    assert (16, 10) in got and (42, 40) in got
-
-
 def test_auto_staging_at_high_unit_count(ray_session, tmp_path):
     """num_units >= 32 switches the hive-staged layout on
     automatically (fleet default); totals match the filter-scan path."""
@@ -173,18 +142,3 @@ def test_stage_dir_grid_mismatch_refused(ray_session, tmp_path):
     stage_pages(pages, staging, num_partitions=64, num_units=8)
     with pytest.raises(ValueError, match="staging dir"):
         stage_pages(pages, staging, num_partitions=64, num_units=4)
-
-
-def test_label_propagation_empty_pairs(ray_session):
-    """Zero verified pairs must yield an empty cluster set, not a
-    TypeError from Ray's None-on-empty aggregate."""
-    import pandas as pd
-    import ray.data
-
-    from pdf_parser_ray.pipelines.dedup import label_propagation_clusters
-
-    pairs = ray.data.from_pandas(
-        pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                      "b": pd.Series([], dtype="int64")})
-    )
-    assert label_propagation_clusters(pairs).count() == 0

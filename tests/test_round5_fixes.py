@@ -21,24 +21,27 @@ def _pairs_ds(pairs):
 
 
 def test_star_contraction_matches_union_find(ray_session):
-    """Chain + clique + isolated pair: the star-contraction output must
-    equal driver-side union-find on the same edge list."""
+    """The star-contraction output must equal in-memory union-find on
+    the same edge list."""
     from pdf_parser_ray.pipelines.dedup import (
         star_contraction_clusters,
         union_find_clusters,
     )
 
-    pairs = (
+    for pairs in (
+        # chain + clique + isolated pair
         [(i, i + 1) for i in range(100, 140)]
         + [(a, b) for a in range(5) for b in range(a + 1, 5)]
-        + [(1000, 2000)]
-    )
-    got = sorted(
-        (r["doc_id"], r["cluster_id"])
-        for r in star_contraction_clusters(_pairs_ds(pairs)).take_all()
-    )
-    uf = union_find_clusters([{"a": a, "b": b} for a, b in pairs])
-    assert got == sorted(zip(uf["doc_id"], uf["cluster_id"]))
+        + [(1000, 2000)],
+        # short chain (diameter 7), isolated pair, 3-node star
+        [(i, i + 1) for i in range(10, 17)] + [(30, 31), (40, 41), (40, 42)],
+    ):
+        got = sorted(
+            (r["doc_id"], r["cluster_id"])
+            for r in star_contraction_clusters(_pairs_ds(pairs)).take_all()
+        )
+        uf = union_find_clusters([{"a": a, "b": b} for a, b in pairs])
+        assert got == sorted(zip(uf["doc_id"], uf["cluster_id"]))
 
 
 def test_star_contraction_long_chain_logn_rounds(ray_session):
