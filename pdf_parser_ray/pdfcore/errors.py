@@ -69,6 +69,8 @@ class ParserError(PdfError):
         "IndirectObjMissMatch": "keyword obj and endobj is not matched",
         "UnexpectedToken": "unexpected token found",
         "InvalidStreamObj": "invalid stream object",
+        # engine extension: parser.MAX_NESTING bounds container nesting
+        "TooDeep": "objects nested too deep",
     }
 
     def __init__(self, kind: str, byte_offset: int, inner: LexerError | None = None):

@@ -5,7 +5,12 @@ src/image.rs:134-139) and DCTDecode (JPEG, src/image.rs:140-143).
 LZWDecode is absent from the reference but named by BASELINE.json's
 north_star, so it is implemented fresh from the public PDF 1.7 spec
 (§3.3.3): variable-width codes 9->12 bits, clear code 256, EOD 257,
-EarlyChange=1 by default.
+EarlyChange=1 by default. Its codes are read in bulk: the width of
+every code between two CLEARs is known from its position alone, so a
+run of one width is gathered with numpy (a 3-byte window, shift and
+mask per code) at most 4,096 codes at a time, and only the table loop
+runs per code. The decoder's working set beyond its output is that one
+chunk and a 4,096-entry table, however long the stream.
 
 Safety addition over the reference (which inflates unboundedly): a
 decompression output cap guards against zip bombs so one hostile
@@ -38,61 +43,141 @@ def flate_decode(data: bytes, max_bytes: int = MAX_DECODED_BYTES) -> bytes:
     return out
 
 
+# codes per bulk read (bounds the decoder's working set), and the run
+# length below which codes are read one by one: numpy's per-call cost
+# dominates there, and a hostile stream of 1-code runs must not pay it
+# per code
+_LZW_CHUNK = 4096
+_LZW_SCALAR_RUN = 32
+_LZW_CLEAR, _LZW_EOD = 256, 257
+_LZW_TABLE_MAX = 4096
+_SINGLE_BYTES = tuple(bytes((i,)) for i in range(256))
+
+
+def _lzw_codes(
+    data: bytes, pos: int, width: int, count: int
+) -> tuple[list[int], list[int]]:
+    """``count`` big-endian codes of ``width`` bits starting at bit
+    ``pos`` (the caller guarantees they all lie inside ``data``), and the
+    indices of the CLEAR and EOD codes among them."""
+    mask = (1 << width) - 1
+    if count < _LZW_SCALAR_RUN:
+        codes = []
+        for bit in range(pos, pos + count * width, width):
+            b = bit >> 3
+            window = int.from_bytes(data[b : b + 3].ljust(3, b"\0"), "big")
+            codes.append((window >> (24 - width - (bit & 7))) & mask)
+        return codes, [i for i, c in enumerate(codes) if c in (_LZW_CLEAR, _LZW_EOD)]
+    import numpy as np
+
+    # a 12-bit code at any bit offset fits a 3-byte window: gather the
+    # window of every code, then shift and mask (two pad bytes keep the
+    # last window inside the buffer)
+    lo = pos >> 3
+    hi = (pos + count * width + 7) >> 3
+    buf = np.frombuffer(data[lo:hi] + b"\0\0", dtype=np.uint8).astype(np.int32)
+    bits = np.arange(pos & 7, (pos & 7) + count * width, width, dtype=np.int32)
+    at = bits >> 3
+    window = (buf[at] << 16) | (buf[at + 1] << 8) | buf[at + 2]
+    codes = (window >> (24 - width - (bits & 7))) & mask
+    stops = np.flatnonzero((codes == _LZW_CLEAR) | (codes == _LZW_EOD))
+    return codes.tolist(), stops.tolist()
+
+
 def lzw_decode(
     data: bytes, early_change: int = 1, max_bytes: int = MAX_DECODED_BYTES
 ) -> bytes:
     """PDF LZWDecode (spec §3.3.3). Codes start at 9 bits; the table
     grows to 4096 entries; width bumps happen one code early when
-    ``early_change`` is 1 (the spec default)."""
-    CLEAR, EOD = 256, 257
-    out = bytearray()
-    base_table = [bytes([i]) for i in range(256)] + [b"", b""]
-    table = list(base_table)
-    append = table.append
-    prev: bytes | None = None
-    width = 9
-    limit = 1 << 9
-    acc = 0
-    nbits = 0
-    # bit reader windowed per code-width run: the accumulator tops up
-    # from the byte stream only when short (python loop per CODE, C
-    # arithmetic per byte; O(n) regardless of stream size)
+    ``early_change`` is 1 (the spec default).
+
+    The code width depends only on how many codes were read since the
+    last CLEAR, so the widths are known before the codes are: each run
+    of one width is read in bulk, at most ``_LZW_CHUNK`` codes per read,
+    and the table loop then expands a plain list of ints. The working
+    set beyond the output is one chunk of codes, their expansions and a
+    4096-entry table, whatever the stream size. A CLEAR inside a 9-bit
+    run keeps the codes after it (the next segment starts at 9 bits on
+    the same grid); a CLEAR inside a wider run ends the read there. A
+    stream that ends mid-code returns what was decoded. The output cap
+    is checked at the end of each chunk and before any other error.
+    """
+    # the last code index (since a CLEAR) read at 9, 10 and 11 bits: after
+    # code j the table holds 258 + j entries, and the width bumps once
+    # that plus early_change reaches 512, 1024, 2048 (one bump per code)
+    last9 = max(0, 254 - early_change)
+    last10 = max(last9 + 1, 766 - early_change)
+    last11 = max(last10 + 1, 1790 - early_change)
+    run_ends = (last9 + 1, last10 + 1, last11 + 1)
+    cap = max(max_bytes, 0)  # an empty output never trips the cap
     total_bits = len(data) * 8
-    pos = 0          # absolute bit position
-    byte_pos = 0     # bytes consumed into acc
-    while pos + width <= total_bits:
-        while nbits < width:
-            acc = (acc << 8) | data[byte_pos]
-            byte_pos += 1
-            nbits += 8
-        code = (acc >> (nbits - width)) & (limit - 1)
-        nbits -= width
-        acc &= (1 << nbits) - 1
-        pos += width
-        if code == CLEAR:
+    out = bytearray()
+    parts: list[bytes] = []  # this chunk's expansions
+    add = parts.append
+    single = _SINGLE_BYTES
+    # entries past 4096 are dropped after each chunk: codes are at most
+    # 12 bits, so a lookup past the end is always the code being defined
+    table = [*single, b"", b""]
+    push = table.append
+    prev: bytes | None = None
+    k = 0  # codes read since the last CLEAR
+    pos = 0
+
+    def flush() -> None:
+        """Move this chunk's expansions to ``out``; raise past the cap
+        (before any other error, as a code-at-a-time check would)."""
+        out.extend(b"".join(parts))
+        parts.clear()
+        if len(out) > cap:
+            raise FilterError("LZWDecode output exceeds safety cap")
+
+    while True:
+        width = 9 + (k >= run_ends[0]) + (k >= run_ends[1]) + (k >= run_ends[2])
+        run = run_ends[width - 9] - k if width < 12 else _LZW_CHUNK
+        count = min(run, _LZW_CHUNK, (total_bits - pos) // width)
+        if count <= 0:
+            break  # no whole code left: a truncated stream ends here
+        codes, stops = _lzw_codes(data, pos, width, count)
+        stops.append(count)
+        i = 0
+        for stop in stops:
+            if i < stop:
+                k += stop - i
+                if prev is None:
+                    code = codes[i]
+                    if code > 255:
+                        flush()
+                        raise FilterError(f"LZWDecode: invalid code {code}")
+                    prev = table[code]
+                    add(prev)
+                    i += 1
+                for code in codes[i:stop]:
+                    try:
+                        entry = table[code]
+                    except IndexError:
+                        if code != len(table):
+                            flush()
+                            msg = f"LZWDecode: invalid code {code}"
+                            raise FilterError(msg) from None
+                        entry = prev + single[prev[0]]
+                    add(entry)
+                    push(prev + single[entry[0]])
+                    prev = entry
+            if stop == count:
+                pos += count * width
+                break
+            if codes[stop] == _LZW_EOD:
+                flush()
+                return bytes(out)
             del table[258:]
             prev = None
-            width = 9
-            limit = 512
-            continue
-        if code == EOD:
-            return bytes(out)
-        n = len(table)
-        if code < n:
-            entry = table[code]
-        elif code == n and prev is not None:
-            entry = prev + prev[:1]
-        else:
-            raise FilterError(f"LZWDecode: invalid code {code}")
-        out += entry
-        if len(out) > max_bytes:
-            raise FilterError("LZWDecode output exceeds safety cap")
-        if prev is not None:
-            append(prev + entry[:1])
-        prev = entry
-        if len(table) + early_change >= limit and width < 12:
-            width += 1
-            limit = 1 << width
+            k = 0
+            i = stop + 1
+            if width != 9:
+                pos += i * width
+                break
+        del table[_LZW_TABLE_MAX:]
+        flush()
     return bytes(out)
 
 

@@ -3,6 +3,11 @@
 Reimplements /root/reference/src/parser.rs:49-278 over the tuple object
 model in ``objects.py``. Duplicate dict keys: last one wins silently
 (quirk Q7, src/parser.rs:247-251).
+
+Nesting is bounded: an array or dictionary more than ``MAX_NESTING``
+containers deep raises ParserError("TooDeep") instead of recursing on
+(the reference recurses without a bound; here the interpreter's stack
+would end it as a RecursionError).
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ from .lexer import (
     K_STREAM_START,
 )
 from .objects import ensure_dict_with_key
+
+# containers (arrays, dictionaries) one object may nest; each level
+# costs two interpreter frames, so this stays far below the stack limit
+MAX_NESTING = 256
 
 
 class Parser:
@@ -55,7 +64,7 @@ class Parser:
         self.token_i = 0
 
     def parse(self) -> tuple:
-        return self._parse_object()
+        return self._parse_object(0)
 
     def _next(self):
         i = self.token_i
@@ -69,7 +78,8 @@ class Parser:
             return None
         return self.tokens[self.token_i]
 
-    def _parse_object(self) -> tuple:
+    def _parse_object(self, depth: int) -> tuple:
+        """One object; ``depth`` counts the containers around it."""
         token = self._next()
         if token is None:
             raise ParserError("NoToken", self.byte_offset)
@@ -89,12 +99,14 @@ class Parser:
             return ("string", value, off)
         if kind == K_IREF:
             return ("ref", value, off)
-        if kind == K_ARR_START:
-            return ("array", self._parse_array_content(), off)
-        if kind == K_DICT_START:
-            return ("dict", self._parse_dict_content(), off)
+        if kind == K_ARR_START or kind == K_DICT_START:
+            if depth >= MAX_NESTING:
+                raise ParserError("TooDeep", off)
+            if kind == K_ARR_START:
+                return ("array", self._parse_array_content(depth + 1), off)
+            return ("dict", self._parse_dict_content(depth + 1), off)
         if kind == K_IOBJ_START:
-            obj = self._parse_indirect_content()
+            obj = self._parse_indirect_content(depth)
             nxt = self._next()
             if nxt is not None and nxt[0] == K_STREAM_START:
                 # PdfStreamObj::new requires /Length (src/object.rs:510-518);
@@ -111,7 +123,7 @@ class Parser:
 
         raise ParserError("UnexpectedToken", off)
 
-    def _parse_array_content(self) -> list:
+    def _parse_array_content(self, depth: int) -> list:
         content = []
         while True:
             token = self._current()
@@ -123,9 +135,9 @@ class Parser:
             if token[0] == K_ARR_END:
                 self._next()
                 return content
-            content.append(self._parse_object())
+            content.append(self._parse_object(depth))
 
-    def _parse_dict_content(self) -> dict:
+    def _parse_dict_content(self, depth: int) -> dict:
         content: dict = {}
         is_prev_name = False
         key = ""
@@ -137,7 +149,7 @@ class Parser:
                 self._next()
                 continue
             if is_prev_name:
-                content[key] = self._parse_object()  # Q7: last key wins
+                content[key] = self._parse_object(depth)  # Q7: last key wins
                 is_prev_name = False
             elif token[0] == K_NAME:
                 key = token[1]
@@ -149,8 +161,8 @@ class Parser:
             else:
                 raise ParserError("UnexpectedToken", token[2])
 
-    def _parse_indirect_content(self) -> tuple:
-        obj = self._parse_object()
+    def _parse_indirect_content(self, depth: int) -> tuple:
+        obj = self._parse_object(depth)
         token = self._next()
         if token is None:
             raise ParserError("NoToken", self.byte_offset)

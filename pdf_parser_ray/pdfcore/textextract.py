@@ -32,7 +32,8 @@ from .lexer import (
 )
 from .objects import TAG, VAL, ensure_dict, ensure_iobj, ensure_ref, ensure_stream
 
-_WS = frozenset(b"\x00\t\n\x0c\r ")
+_WS_BYTES = b"\x00\t\n\x0c\r "
+_WS = frozenset(_WS_BYTES)
 
 # content token kinds
 C_NUM = "num"
@@ -141,7 +142,7 @@ class ContentLexer:
                 # content streams tolerate whitespace inside hex strings
                 # (spec §3.2.3; the OBJECT lexer stays strict per Q5)
                 body = parse_hex_string(
-                    bytes(b for b in buf[start + 1 : end] if b not in _WS)
+                    buf[start + 1 : end].translate(None, _WS_BYTES)
                 )
                 self.i = end + 1
                 yield (C_HEX, body)
@@ -314,11 +315,15 @@ class ToUnicodeCMap:
 
 
 class _Font:
-    __slots__ = ("cmap", "enc_map")
+    __slots__ = ("cmap", "table")
 
     def __init__(self, cmap: ToUnicodeCMap | None, enc_map: dict | None = None):
         self.cmap = cmap
-        self.enc_map = enc_map  # code -> unicode char (simple fonts)
+        # simple fonts: the code -> char map as a 256-entry str.translate
+        # table (unmapped codes -> U+FFFD); None = raw byte passthrough
+        self.table = None
+        if enc_map is not None:
+            self.table = {b: enc_map.get(b, "�") for b in range(256)}
 
 
 def _page_fonts(doc, page, cmap_cache: dict | None = None) -> dict[str, _Font]:
@@ -475,10 +480,9 @@ def extract_page_text(doc, page, cmap_cache: dict | None = None) -> bytes:
             nonlocal shown_since_break
             if font is not None and font.cmap is not None:
                 out.extend(font.cmap.map_bytes(payload).encode("utf-8"))
-            elif font is not None and font.enc_map is not None:
-                table = font.enc_map
+            elif font is not None and font.table is not None:
                 out.extend(
-                    "".join(table.get(b, "�") for b in payload).encode("utf-8")
+                    payload.decode("latin-1").translate(font.table).encode("utf-8")
                 )
             else:
                 out.extend(payload)

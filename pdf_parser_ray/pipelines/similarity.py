@@ -333,9 +333,9 @@ def embedding_dup_pairs(sf_dir: str, threshold: float = 0.999):
     import ray
     import ray.data
 
-    base = ray.data.read_parquet(_p(sf_dir)).map_batches(
-        with_noisy_copies, batch_format="pyarrow"
-    )
+    base = ray.data.read_parquet(
+        _p(sf_dir), columns=["vec_id", "embedding"]
+    ).map_batches(with_noisy_copies, batch_format="pyarrow")
     # materialize the (small) corpus matrix once and broadcast
     ids_all: list[int] = []
     vecs: list[np.ndarray] = []
@@ -435,9 +435,9 @@ def _staged_noisy_corpus(sf_dir: str):
     return stage_keyed(
         "noisy_vecs",
         _p(sf_dir),
-        lambda: ray.data.read_parquet(_p(sf_dir)).map_batches(
-            with_noisy_copies, batch_format="pyarrow"
-        ),
+        lambda: ray.data.read_parquet(
+            _p(sf_dir), columns=["vec_id", "embedding"]
+        ).map_batches(with_noisy_copies, batch_format="pyarrow"),
     )
 
 

@@ -15,7 +15,7 @@ cp -r /root/reference/src/raw_byte.rs /root/reference/src/raw_byte \
       /root/reference/src/cross_reference.rs \
       /root/reference/src/trailer.rs /root/reference/src/trailer \
       /root/reference/src/util.rs \
-      "$STAGE/" 2>/dev/null
+      "$STAGE/"
 cp "$(dirname "$0")/ref_harness_main.rs" "$STAGE/harness_main.rs"
 rustc --edition 2021 -O -A warnings -o /tmp/ref_harness "$STAGE/harness_main.rs"
 echo "built /tmp/ref_harness"

@@ -1,22 +1,29 @@
-"""ASCIIHex / ASCII85 / RunLength filters (PDF spec §7.4.2/3/5).
+"""ASCIIHex / ASCII85 / RunLength filters (PDF spec §7.4.2/3/5) and
+the chunked LZWDecode against its code-at-a-time oracle.
 
-These are engine extensions past the reference's closed filter enum
-(src/image.rs:126-130 supports only Flate and DCT) — spec examples,
-property roundtrips, malformed-input probes, and the end-to-end path
-(content stream filtered through each variant must extract the same
-text as the unfiltered build).
+The first three are engine extensions past the reference's closed
+filter enum (src/image.rs:126-130 supports only Flate and DCT) — spec
+examples, property roundtrips, malformed-input probes, and the
+end-to-end path (content stream filtered through each variant must
+extract the same text as the unfiltered build).
 """
+
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdf_parser_ray.pdfcore.filters import (
+    MAX_DECODED_BYTES,
     FilterError,
     ascii85_decode,
     ascii85_encode,
     ascii_hex_decode,
     ascii_hex_encode,
+    lzw_decode,
+    lzw_encode,
     run_length_decode,
     run_length_encode,
 )
@@ -134,6 +141,225 @@ def test_rl_roundtrip_runs(runs):
     # run-heavy payloads exercise the repeat-run arm + the 128 cap
     data = b"".join(bytes([v]) * n for v, n in runs)
     assert run_length_decode(run_length_encode(data)) == data
+
+
+# -- LZWDecode ----------------------------------------------------------------
+
+
+def lzw_decode_naive(
+    data: bytes, early_change: int = 1, max_bytes: int = MAX_DECODED_BYTES
+) -> bytes:
+    """Oracle: the code-at-a-time LZWDecode loop (one bit-reader step and
+    one table step per code) that the chunked decoder replaced."""
+    CLEAR, EOD = 256, 257
+    out = bytearray()
+    table = [bytes([i]) for i in range(256)] + [b"", b""]
+    append = table.append
+    prev = None
+    width = 9
+    limit = 1 << 9
+    acc = 0
+    nbits = 0
+    total_bits = len(data) * 8
+    pos = 0
+    byte_pos = 0
+    while pos + width <= total_bits:
+        while nbits < width:
+            acc = (acc << 8) | data[byte_pos]
+            byte_pos += 1
+            nbits += 8
+        code = (acc >> (nbits - width)) & (limit - 1)
+        nbits -= width
+        acc &= (1 << nbits) - 1
+        pos += width
+        if code == CLEAR:
+            del table[258:]
+            prev = None
+            width = 9
+            limit = 512
+            continue
+        if code == EOD:
+            return bytes(out)
+        n = len(table)
+        if code < n:
+            entry = table[code]
+        elif code == n and prev is not None:
+            entry = prev + prev[:1]
+        else:
+            raise FilterError(f"LZWDecode: invalid code {code}")
+        out += entry
+        if len(out) > max_bytes:
+            raise FilterError("LZWDecode output exceeds safety cap")
+        if prev is not None:
+            append(prev + entry[:1])
+        prev = entry
+        if len(table) + early_change >= limit and width < 12:
+            width += 1
+            limit = 1 << width
+    return bytes(out)
+
+
+def _lzw_outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except FilterError as e:
+        return ("err", str(e))
+
+
+def _assert_lzw_matches_naive(data, early_change, max_bytes):
+    assert _lzw_outcome(lzw_decode, data, early_change, max_bytes) == _lzw_outcome(
+        lzw_decode_naive, data, early_change, max_bytes
+    )
+
+
+def _pack_codes(codes: list[tuple[int, int]]) -> bytes:
+    """(code, width) pairs -> MSB-first bit stream, zero-padded."""
+    acc = nbits = 0
+    out = bytearray()
+    for code, width in codes:
+        acc = (acc << width) | code
+        nbits += width
+        while nbits >= 8:
+            out.append((acc >> (nbits - 8)) & 0xFF)
+            nbits -= 8
+        acc &= (1 << nbits) - 1
+    if nbits:
+        out.append((acc << (8 - nbits)) & 0xFF)
+    return bytes(out)
+
+
+def _code_stream(
+    seed: int, n_codes: int, early_change: int, clear_every: int = 0
+) -> bytes:
+    """Random valid codes at the widths the decoder expects: each one a
+    table hit or the code being defined (KwKwK). A CLEAR every
+    ``clear_every`` codes (0: never), no EOD."""
+    rng = random.Random(seed)
+    codes = []
+    n, width, has_prev = 258, 9, False
+    for i in range(1, n_codes + 1):
+        if clear_every and i % clear_every == 0:
+            codes.append((256, width))
+            n, width, has_prev = 258, 9, False
+            continue
+        if not has_prev:
+            code = rng.randrange(256)
+        else:
+            code = rng.choice((rng.randrange(256), rng.randrange(258, n + 1)))
+            code = min(code, (1 << width) - 1)
+            n += 1
+        codes.append((code, width))
+        has_prev = True
+        if n + early_change >= (1 << width) and width < 12:
+            width += 1
+    return _pack_codes(codes)
+
+
+lzw_caps = st.one_of(st.just(MAX_DECODED_BYTES), st.integers(0, 4000))
+lzw_plain = st.one_of(
+    st.binary(max_size=3000),
+    st.lists(st.sampled_from([b"a", b"ab", b"b ", b"abc", b"\x00"]), max_size=1500).map(
+        b"".join
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    plain=lzw_plain,
+    early_change=st.sampled_from([0, 1]),
+    cut=st.one_of(st.none(), st.floats(0, 1)),
+    flips=st.lists(st.integers(0, 1 << 20), max_size=3),
+    max_bytes=lzw_caps,
+)
+def test_lzw_matches_naive_on_encoder_output(
+    plain, early_change, cut, flips, max_bytes
+):
+    data = bytearray(lzw_encode(plain, early_change))
+    if cut is not None:
+        del data[int(len(data) * cut) :]
+    for bit in flips:
+        if data:
+            bit %= len(data) * 8
+            data[bit >> 3] ^= 0x80 >> (bit & 7)
+    _assert_lzw_matches_naive(bytes(data), early_change, max_bytes)
+    if cut is None and not flips and max_bytes >= len(plain):
+        assert lzw_decode(bytes(data), early_change, max_bytes) == plain
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n_codes=st.integers(4097, 9000),
+    early_change=st.sampled_from([0, 1, 2, 300, -700]),
+    clear_every=st.sampled_from([0, 0, 1, 2, 255, 1000, 3000]),
+    max_bytes=lzw_caps,
+)
+def test_lzw_matches_naive_on_long_code_streams(
+    seed, n_codes, early_change, clear_every, max_bytes
+):
+    """More than 4,096 codes: with no CLEAR the table outgrows 4,096
+    entries and every code after the 12-bit switch is a table hit."""
+    data = _code_stream(seed, n_codes, early_change, clear_every)
+    _assert_lzw_matches_naive(data, early_change, max_bytes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.binary(max_size=8000),
+    early_change=st.sampled_from([0, 1, 5000]),
+    max_bytes=lzw_caps,
+)
+def test_lzw_matches_naive_on_random_bytes(data, early_change, max_bytes):
+    _assert_lzw_matches_naive(data, early_change, max_bytes)
+
+
+def test_lzw_clear_runs_and_truncation():
+    """Back-to-back CLEARs, a CLEAR inside every width run, and streams
+    cut one bit short of a code all decode as the oracle does."""
+    streams = [
+        _pack_codes([(256, 9)] * 500 + [(65, 9), (257, 9)]),
+        _code_stream(1, 3000, 1, clear_every=2),
+        _code_stream(2, 5000, 1, clear_every=700),
+        _code_stream(3, 5000, 1, clear_every=1500),
+    ]
+    for data in streams:
+        for cut in (len(data), len(data) - 1, len(data) // 2):
+            _assert_lzw_matches_naive(data[:cut], 1, MAX_DECODED_BYTES)
+    assert lzw_decode(_pack_codes([(256, 9)] * 500 + [(65, 9), (257, 9)])) == b"A"
+
+
+def test_lzw_error_messages_and_cap():
+    with pytest.raises(FilterError, match=r"^LZWDecode: invalid code 300$"):
+        lzw_decode(_pack_codes([(300, 9)]))
+    with pytest.raises(FilterError, match=r"^LZWDecode: invalid code 258$"):
+        lzw_decode(_pack_codes([(256, 9), (258, 9)]))
+    # the cap is crossed before the invalid code: the cap error wins
+    data = _pack_codes([(65, 9), (66, 9), (67, 9), (400, 9)])
+    with pytest.raises(FilterError, match="exceeds safety cap"):
+        lzw_decode(data, max_bytes=2)
+    with pytest.raises(FilterError, match="invalid code 400"):
+        lzw_decode(data, max_bytes=3)
+
+
+def test_lzw_working_set_is_bounded():
+    """Long hostile streams cost the decoder a bounded working set: it
+    never holds the stream as bits or as one list of codes, and drops
+    table entries past 4,096 (which no 12-bit code can reach)."""
+    clears = _pack_codes([(256, 9)] * 200_000)  # 225 KB, empty output
+    codes = _code_stream(4, 150_000, 1)  # 225 KB, no CLEAR, 365 KB output
+    tracemalloc.start()
+    try:
+        assert lzw_decode(clears) == b""
+        _, peak_clears = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert len(lzw_decode(codes)) == 364_778
+        _, peak_codes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_clears < 256 * 1024
+    # the code-at-a-time loop keeps all 150,000 table entries: ~7 MiB
+    assert peak_codes < 3 * 1024 * 1024
 
 
 # -- end-to-end through the PDF text path -------------------------------------

@@ -6,7 +6,9 @@ into /tmp/ref_harness; these tests feed identical byte buffers to the
 reference lexer/trailer and to the Python port and require identical
 output (tokens, offsets, error kinds + positions — Rust Display form).
 
-Skipped automatically when rustc is unavailable.
+Skipped automatically when the harness cannot be built; the skip
+reason names the cause (rustc not on PATH, reference sources missing,
+or the build's own error).
 """
 
 import random
@@ -20,25 +22,31 @@ from pdf_parser_ray.pdfcore.errors import LexerError
 from pdf_parser_ray.pdfcore.lexer import Lexer
 
 
-def _build_harness():
+def _build_harness() -> tuple[str | None, str]:
+    """(harness path, "") or (None, why it was not built)."""
     if shutil.which("rustc") is None:
-        return None
+        return None, "rustc not on PATH; reference harness not built"
     try:
         subprocess.run(
             ["bash", "scripts/build_ref_harness.sh"],
             capture_output=True,
+            text=True,
             check=True,
             timeout=300,
         )
-    except Exception:
-        return None
-    return "/tmp/ref_harness"
+    except subprocess.CalledProcessError as e:
+        lines = [ln for ln in e.stderr.splitlines() if ln.strip()]
+        missing = [ln for ln in lines if ln.startswith("cp: cannot stat")]
+        if missing:
+            return None, f"reference sources missing ({missing[0]})"
+        return None, f"reference harness build failed: {lines[-1] if lines else e}"
+    except Exception as e:
+        return None, f"reference harness build failed: {e}"
+    return "/tmp/ref_harness", ""
 
 
-HARNESS = _build_harness()
-pytestmark = pytest.mark.skipif(
-    HARNESS is None, reason="rustc unavailable; reference harness not built"
-)
+HARNESS, SKIP_REASON = _build_harness()
+pytestmark = pytest.mark.skipif(HARNESS is None, reason=SKIP_REASON)
 
 
 def rust_f64_repr(x: float) -> str:

@@ -2,6 +2,8 @@
 ToUnicode CMaps, filters, spans — roundtrip through pdfbuild variants."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdf_parser_ray.pdfcore import pdfbuild
 from pdf_parser_ray.pdfcore.document import PdfDocument
@@ -290,3 +292,88 @@ def test_content_hex_string_with_whitespace():
     the object lexer stays strict (Q5)."""
     toks = list(ContentLexer(b"<48 65 6C\n6C 6F> Tj").tokens())
     assert toks[0] == ("hex", b"Hello")
+
+
+_PDF_WS = b"\x00\t\n\x0c\r "
+
+
+def _old_hex_body(body: bytes) -> bytes:
+    """The per-byte whitespace strip that bytes.translate replaced."""
+    from pdf_parser_ray.pdfcore.lexer import parse_hex_string
+
+    return parse_hex_string(bytes(b for b in body if b not in _PDF_WS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(b"0123456789abcdefABCDEF").map(lambda b: bytes([b])),
+            st.sampled_from(_PDF_WS).map(lambda b: bytes([b])),
+        ),
+        max_size=80,
+    ).map(b"".join)
+)
+def test_content_hex_whitespace_strip_matches_per_byte(body):
+    toks = list(ContentLexer(b"<" + body + b"> Tj").tokens())
+    assert toks == [("hex", _old_hex_body(body)), ("op", "Tj")]
+
+
+def test_content_hex_every_whitespace_byte_and_odd_digits():
+    body = b"4\x008\t6\n5\x0c6\rC 7"  # seven digits, one of each separator
+    toks = list(ContentLexer(b"<" + body + b">Tj").tokens())
+    assert toks[0] == ("hex", _old_hex_body(body)) == ("hex", b"Hel\x70")
+
+
+_ALL_BYTES = bytes(range(256))
+
+
+@pytest.mark.parametrize(
+    "base, diffs",
+    [
+        ("StandardEncoding", []),
+        ("WinAnsiEncoding", []),
+        (
+            "WinAnsiEncoding",
+            [0, "A", "eacute", 39, "quoteright", 128, "euro", "nosuchglyph", 300, "B"],
+        ),
+    ],
+)
+def test_simple_font_show_matches_per_byte(monkeypatch, base, diffs):
+    """All 256 codes through a simple font's translate table equal the
+    per-byte ``table.get(b, U+FFFD)`` join it replaced."""
+    from pdf_parser_ray.pdfcore import textextract
+    from pdf_parser_ray.pdfcore.encodings import build_code_map
+
+    enc_map = build_code_map(base, diffs)
+    content = b"BT /F1 12 Tf <" + _ALL_BYTES.hex().encode() + b"> Tj (\\() Tj ET"
+    font = textextract._Font(None, enc_map)
+    monkeypatch.setattr(textextract, "_page_fonts", lambda d, p, c=None: {"F1": font})
+    monkeypatch.setattr(textextract, "_page_content", lambda d, p: content)
+    monkeypatch.setattr(textextract, "_page_xobjects", lambda d, p: {})
+    got = textextract.extract_page_text(None, None)
+    want = "".join(enc_map.get(b, "�") for b in _ALL_BYTES + b"(").encode("utf-8")
+    assert got == want
+
+
+def test_differences_font_in_pdf_shows_all_codes():
+    """A real PDF's /Differences font (codes 33.. renamed to the text's
+    glyphs): all 256 codes show as the per-byte join over its code map."""
+    from pdf_parser_ray.pdfcore import textextract
+    from pdf_parser_ray.pdfcore.encodings import CHAR_TO_GLYPH, build_code_map
+
+    pdf = pdfbuild.build_text_pdf(b"differences", show_variant="encdiff")
+    assert roundtrip_bytes(pdf)[0] == b"differences"
+    doc = PdfDocument(pdf)
+    glyphs = [CHAR_TO_GLYPH[c] for c in sorted(set("differences"))]
+    enc_map = build_code_map(None, [33, *glyphs])
+
+    class FakeDoc:
+        def resolve(self, r):
+            return doc.resolve(r)
+
+        def get_stream_decoded(self, s):
+            return b"BT /F1 12 Tf <" + _ALL_BYTES.hex().encode() + b"> Tj ET"
+
+    got = textextract.extract_page_text(FakeDoc(), doc.pages[0])
+    assert got == "".join(enc_map.get(b, "�") for b in _ALL_BYTES).encode("utf-8")
