@@ -10,9 +10,10 @@ Prints ONE JSON line:
   {"metric": "...", "value": <headline sec>, "unit": "sec",
    "queries": {...}, "sf": ..., "num_cpus": N, ...}
 
-``--scaling``: runs the headline in fresh processes at 8 and 32 CPUs
-on the SAME input and reports both throughputs + scaling efficiency
-(sandbox stand-in for the N vs 4N node criterion, BASELINE.md).
+``--scaling``: runs the headline in fresh processes at N=2 and 4N=8
+extract workers (``GRAFT_SCALE_LO`` / ``GRAFT_SCALE_HI``) on the SAME
+input and reports both throughputs + scaling efficiency (sandbox
+stand-in for the N vs 4N node criterion, BASELINE.md).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 REPEAT = int(os.environ.get("GRAFT_REPEAT", "20"))
 
 BENCH_QUERIES = (
@@ -127,12 +128,13 @@ def _init_ray():
 def run_headline(pool: int | None = None) -> dict:
     """The timed extraction job; Ray must already be initialised.
 
-    ``pool`` pins the extract actor-pool size (fixed); default derives
-    from NUM_CPUS with headroom for the read/route/write stages.
+    ``pool`` pins the extract actor-pool size (fixed); default is the
+    engine's own pool (``extract_pipeline.actor_pool``), sized from the
+    Ray CPU claim with headroom for the read/route/write stages.
     """
     import ray.data
 
-    from pdf_parser_ray.pipelines.extract_pipeline import build_extract_ds
+    from pdf_parser_ray.pipelines.extract_pipeline import actor_pool, build_extract_ds
     from pdf_parser_ray.sources.synth import build_pages_table
 
     # untimed: build/warm the tiled pages cache + one warm read
@@ -142,16 +144,7 @@ def run_headline(pool: int | None = None) -> dict:
     out_dir = f"/tmp/bench_out/extract_{NUM_CPUS}"
     shutil.rmtree(out_dir, ignore_errors=True)
 
-    if pool is None:
-        # cap the pool below the claimed CPU count: this host exposes 32
-        # logical CPUs but ~20 effective (BASELINE.md), and a 30-actor
-        # pool thrashes; 16 actors measured fastest across the sweep.
-        # GRAFT_MAX_POOL lifts the cap on genuinely larger hosts.
-        cap = int(os.environ.get("GRAFT_MAX_POOL", "16"))
-        hi = min(cap, max(2, NUM_CPUS - 2))
-        concurrency = (max(1, hi // 2), hi)
-    else:
-        concurrency = (pool, pool)
+    pinned = None if pool is None else (pool, pool)
 
     from pdf_parser_ray.sources.synth import PIPELINE_COLUMNS
 
@@ -164,7 +157,7 @@ def run_headline(pool: int | None = None) -> dict:
         t0 = time.monotonic()
         ds = build_extract_ds(
             ray.data.read_parquet(pages_path, columns=PIPELINE_COLUMNS),
-            concurrency=concurrency,
+            concurrency=pinned,
             batch_size=128,
         )
         ds.write_parquet(out_dir)
@@ -177,7 +170,7 @@ def run_headline(pool: int | None = None) -> dict:
         "docs_per_sec": round(n_docs / sec, 1),
         "all_sec": [round(t, 3) for t in times],
         "num_cpus": NUM_CPUS,
-        "pool": concurrency,
+        "pool": pinned or actor_pool()["concurrency"],
     }
 
 
@@ -210,12 +203,10 @@ def run_bench() -> dict:
 
 def run_scaling() -> dict:
     """Same headline job in fresh processes at N and 4N extraction
-    workers (default 4 -> 16) on the SAME tiled input.
+    workers (default 2 -> 8) on the SAME tiled input.
 
-    N=2/4N=8 rather than 8/32: this sandbox host exposes 32 logical
-    CPUs but only ~20 effective and noisy (shared/throttled; measured
-    with a multiprocessing spin test), so a 32-way claim measures host
-    oversubscription, not the engine. Both levels here fit real
+    N=2/4N=8 rather than 8/32: a 32-way claim on a shared host measures
+    host oversubscription, not the engine. Both levels should fit real
     capacity with margin, which is what the N vs 4N *node* criterion
     stands in for. ray.init gets 2x workers CPUs: the read/route/write
     stages must scale WITH the extract pool (a fixed sink allocation

@@ -20,8 +20,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.hashing import blake2b128_of_strings
+from .textstats import TOKEN_RE, documents_path
 
-TOKEN_RE = r"[A-Za-z0-9]+"
 DEFAULT_MIN_TOKENS = 30
 
 
@@ -95,8 +95,6 @@ def boilerplate_dedup_pipeline(sf_dir: str, min_docs: int = 3):
     end in SQL (lines rebuilt with ||, boilerplate df via
     COUNT(DISTINCT doc_id), cleaned text via ordered string_agg, dedup
     via GROUP BY cleaned text)."""
-    import os
-
     import numpy as np
     import pandas as pd
     import ray.data
@@ -106,9 +104,7 @@ def boilerplate_dedup_pipeline(sf_dir: str, min_docs: int = 3):
     n_buckets = coarse_buckets(floor=256)  # content-key dedup buckets
     n_hash_buckets = coarse_buckets()
     n_doc_buckets = coarse_buckets()
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
 
     def _lines_for(doc_id: int, text: str) -> list[str]:
         return [text, f"footer {doc_id % 7}", f"banner {doc_id % 3}"]

@@ -333,38 +333,43 @@ def _log_band_drops(label: str, dropped_bands: int, dropped_docs: int):
         )
 
 
-def _bucket_candidate_pairs(g: pd.DataFrame) -> pd.DataFrame:
-    """All within-band pairs for every band in one shuffle bucket,
-    with the degenerate-band cap: an over-cap band degrades to STAR
-    SAMPLING (every member paired with the band's min id — O(n) pairs)
-    instead of being dropped wholesale, so a true near-dup pair whose
-    every band is degenerate still surfaces through the hub doc (and
-    the downstream exact verify discards the false positives). The
-    degradation is logged with counts."""
+def _bucket_candidate_pairs(
+    g: pd.DataFrame,
+    band_col: str = "band_key",
+    id_col: str = "doc_id",
+    label: str = "minhash-lsh",
+) -> pd.DataFrame:
+    """All within-band ``(a, b)`` id pairs (``a < b``) for every band
+    (distinct ``band_col`` value) in one shuffle bucket, with the
+    degenerate-band cap: an over-cap band degrades to STAR SAMPLING
+    (every member paired with the band's min id — O(n) pairs) instead
+    of being dropped wholesale, so a true near-dup pair whose every band
+    is degenerate still surfaces through the hub doc (and the
+    downstream exact verify discards the false positives). The
+    degradation is logged under ``label`` with counts. The one candidate
+    generator of the MinHash, SimHash and embedding LSH operators."""
     a_out: list[int] = []
     b_out: list[int] = []
     capped_bands = capped_docs = 0
-    for _, band in g.groupby("band_key"):
-        ids = sorted(set(band["doc_id"].tolist()))
+    for _, band in g.groupby(band_col):
+        ids = sorted(set(band[id_col].tolist()))
         if len(ids) > MAX_BAND_MEMBERS:
             capped_bands += 1
             capped_docs += len(ids)
-            hub = ids[0]
-            a_out.extend([hub] * (len(ids) - 1))
+            a_out.extend([ids[0]] * (len(ids) - 1))
             b_out.extend(ids[1:])
             continue
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                a_out.append(ids[i])
-                b_out.append(ids[j])
-    _log_band_drops("minhash-lsh", capped_bands, capped_docs)
+        for i, a in enumerate(ids):
+            a_out.extend([a] * (len(ids) - i - 1))
+            b_out.extend(ids[i + 1:])
+    _log_band_drops(label, capped_bands, capped_docs)
     return pd.DataFrame({"a": a_out, "b": b_out}).drop_duplicates()
 
 
 def _mod_bucket(col, n: int):
-    """x % n over an Arrow int column (pyarrow has no modulo kernel)."""
-    import pyarrow.compute as pc
-
+    """x % n over an Arrow int column (pyarrow has no modulo kernel):
+    ``x - (x // n) * n`` with truncating division, so a negative ``x``
+    gives a remainder in ``(-n, 0]``."""
     nn = pa.scalar(n, pa.int64())
     return pc.subtract(col, pc.multiply(pc.divide(col, nn), nn))
 
@@ -1161,37 +1166,15 @@ def simhash_fingerprints(sf_dir: str, max_hamming: int = 6):
     banded = ds.map_batches(SimHashStage, batch_format="pyarrow", **actor_pool())
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        a_out, b_out = [], []
-        capped_bands = capped_docs = 0
-        for _, band in g.groupby("band"):
-            rows = sorted(set(zip(band["doc_id"].tolist(), band["simhash"].tolist())))
-            if len(rows) > MAX_BAND_MEMBERS:
-                # degenerate band: star-sample against the min-id hub
-                # (hamming check still applies — exactness preserved,
-                # only recall within the band is reduced)
-                capped_bands += 1
-                capped_docs += len(rows)
-                hub = rows[0]
-                for r in rows[1:]:
-                    if (
-                        hamming64(hub[1] + (1 << 63), r[1] + (1 << 63))
-                        <= max_hamming
-                    ):
-                        a_out.append(hub[0])
-                        b_out.append(r[0])
-                continue
-            for i in range(len(rows)):
-                for j in range(i + 1, len(rows)):
-                    if (
-                        hamming64(
-                            rows[i][1] + (1 << 63), rows[j][1] + (1 << 63)
-                        )
-                        <= max_hamming
-                    ):
-                        a_out.append(rows[i][0])
-                        b_out.append(rows[j][0])
-        _log_band_drops("simhash", capped_bands, capped_docs)
-        return pd.DataFrame({"a": a_out, "b": b_out}).drop_duplicates()
+        # band candidates (star-sampled past the cap), then the hamming
+        # verify against each doc's simhash from the same group
+        sims = dict(zip(g["doc_id"].tolist(), g["simhash"].tolist()))
+        pairs = _bucket_candidate_pairs(g, "band", "doc_id", "simhash")
+        near = [
+            hamming64(sims[a] + (1 << 63), sims[b] + (1 << 63)) <= max_hamming
+            for a, b in zip(pairs["a"].tolist(), pairs["b"].tolist())
+        ]
+        return pairs.loc[near]
 
     from ray.data.aggregate import Count
 
@@ -1227,9 +1210,7 @@ def near_dedup_survivors(sf_dir: str, threshold: float = 0.5, n_buckets: int | N
         k = pc.cast(t["doc_id"], pa.int64())
         return pa.table(
             {
-                "bucket": pc.subtract(
-                    k, pc.multiply(pc.divide(k, nb), pa.scalar(nb, pa.int64()))
-                ),
+                "bucket": _mod_bucket(k, nb),
                 "key": k,
                 "is_removed": pa.array(np.zeros(len(k), np.int64)),
             }
@@ -1240,9 +1221,7 @@ def near_dedup_survivors(sf_dir: str, threshold: float = 0.5, n_buckets: int | N
         k = pc.cast(t["b"], pa.int64()).unique()
         return pa.table(
             {
-                "bucket": pc.subtract(
-                    k, pc.multiply(pc.divide(k, nb), pa.scalar(nb, pa.int64()))
-                ),
+                "bucket": _mod_bucket(k, nb),
                 "key": k,
                 "is_removed": pa.array(np.ones(len(k), np.int64)),
             }

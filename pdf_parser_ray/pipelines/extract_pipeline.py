@@ -27,6 +27,18 @@ from ..state import manifest as mf
 
 DEFAULT_NUM_PARTITIONS = 256
 
+# manifest metrics of a unit that committed no rows
+ZERO_METRICS = {
+    "rows": 0,
+    "ok_rows": 0,
+    "err_rows": 0,
+    "bytes_in": 0,
+    "text_bytes": 0,
+    "partitions": 0,
+    "duration_sec": 0.0,
+    "docs_per_sec": 0.0,
+}
+
 
 def actor_pool(size: int | None = None) -> dict:
     """``map_batches`` arguments for an actor pool sized from the Ray CPU
@@ -70,6 +82,43 @@ def build_extract_ds(
     pool = actor_pool() if concurrency is None else {"concurrency": concurrency}
     return ds.map_batches(
         Extractor, batch_format="pyarrow", batch_size=batch_size, **pool
+    )
+
+
+def read_routed(pages_path: str, num_partitions: int):
+    """Lazy routed Dataset over a pages table, projected to the pipeline
+    columns (the full table when its schema lacks them)."""
+    import ray.data
+
+    from ..sources.synth import PIPELINE_COLUMNS
+
+    try:
+        pages = ray.data.read_parquet(pages_path, columns=PIPELINE_COLUMNS)
+    except Exception:
+        pages = ray.data.read_parquet(pages_path)  # non-standard schema
+    return pages.map_batches(make_router(num_partitions), batch_format="pyarrow")
+
+
+def unit_range(unit_id: int, num_units: int, num_partitions: int) -> tuple[int, int]:
+    """Partition ids ``[lo, hi)`` of resume unit ``unit_id``."""
+    return (
+        unit_id * num_partitions // num_units,
+        (unit_id + 1) * num_partitions // num_units,
+    )
+
+
+def lane_rows(t: pa.Table, lo: int | None, hi: int | None, cap: int) -> pa.Table:
+    """The rows one sub-job extracts: partition ids ``[lo, hi)`` with
+    payloads of at most ``cap`` bytes, or, for the giant lane
+    (``lo is None``), every payload over ``cap``."""
+    if lo is None:
+        return t.filter(pc.greater(t["nbytes"], cap))
+    pid = t["partition_id"]
+    return t.filter(
+        pc.and_(
+            pc.and_(pc.greater_equal(pid, lo), pc.less(pid, hi)),
+            pc.less_equal(t["nbytes"], cap),
+        )
     )
 
 
@@ -136,8 +185,6 @@ def stage_pages(
     + _SUCCESS marker)."""
     import json
 
-    import ray.data
-
     grid = {
         "pages_path": os.path.abspath(pages_path),
         "input_fingerprint": _input_fingerprint(pages_path),
@@ -161,22 +208,11 @@ def stage_pages(
             )
         return staging_dir
 
-    from ..sources.synth import PIPELINE_COLUMNS
-
-    try:
-        pages = ray.data.read_parquet(pages_path, columns=PIPELINE_COLUMNS)
-    except Exception:
-        pages = ray.data.read_parquet(pages_path)
-    routed = pages.map_batches(make_router(num_partitions), batch_format="pyarrow")
-
-    # unit assignment must mirror run_extract_job's bounds EXACTLY:
-    # build the lookup from the same formula instead of re-deriving it
     import numpy as np
 
     unit_of = np.empty(num_partitions, dtype=np.int32)
     for u in range(num_units):
-        lo = u * num_partitions // num_units
-        hi = (u + 1) * num_partitions // num_units
+        lo, hi = unit_range(u, num_units, num_partitions)
         unit_of[lo:hi] = u
 
     def add_unit(t: pa.Table) -> pa.Table:
@@ -188,9 +224,9 @@ def stage_pages(
     tmp = staging_dir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     shutil.rmtree(staging_dir, ignore_errors=True)
-    routed.map_batches(add_unit, batch_format="pyarrow").write_parquet(
-        tmp, partition_cols=["unit_id"]
-    )
+    read_routed(pages_path, num_partitions).map_batches(
+        add_unit, batch_format="pyarrow"
+    ).write_parquet(tmp, partition_cols=["unit_id"])
     os.rename(tmp, staging_dir)
     with open(marker, "w") as f:
         json.dump(grid, f)
@@ -226,7 +262,8 @@ def run_extract_job(
 
     ``staging_dir``: route + hive-partition the input by unit ONCE
     (stage_pages) so each unit reads only its own files instead of
-    filtering a full scan — the fleet-scale layout (DESIGN.md). At
+    filtering a full scan — the fleet-scale layout (DESIGN.md); the
+    giant lane still filter-scans the whole input. At
     ``num_units >= 32`` staging switches ON automatically (scan
     amplification of the filter-scan path is O(units)); pass
     ``staging_dir=""`` to force filter-scan anyway.
@@ -278,80 +315,32 @@ def run_extract_job(
     mf.write_job(out_dir, job_params)
 
     results = []
-    bounds = [
-        (u, u * num_partitions // num_units, (u + 1) * num_partitions // num_units)
-        for u in range(num_units)
-    ]
     giant_unit_id = num_units  # dedicated final unit for giant rows
-    for unit_id, lo, hi in bounds + [(giant_unit_id, None, None)]:
+    for unit_id in range(num_units + 1):
         if unit_id in done:
             continue
         t0 = time.monotonic()
         if staging_dir is not None and unit_id != giant_unit_id:
             unit_dir = os.path.join(staging_dir, f"unit_id={unit_id}")
-            if not os.path.isdir(unit_dir):
-                routed = None  # unit had no rows at all
-            else:
-                routed = ray.data.read_parquet(unit_dir)
+            if not os.path.isdir(unit_dir):  # unit had no rows at all
+                mf.write_unit(out_dir, unit_id, ZERO_METRICS)
+                continue
+            routed = ray.data.read_parquet(unit_dir)
         else:
-            from ..sources.synth import PIPELINE_COLUMNS
-
-            try:
-                pages = ray.data.read_parquet(pages_path, columns=PIPELINE_COLUMNS)
-            except Exception:
-                pages = ray.data.read_parquet(pages_path)  # non-standard schema
-            routed = pages.map_batches(
-                make_router(num_partitions), batch_format="pyarrow"
-            )
-        if routed is None:
-            mf.write_unit(
-                out_dir,
-                unit_id,
-                {
-                    "rows": 0,
-                    "ok_rows": 0,
-                    "err_rows": 0,
-                    "bytes_in": 0,
-                    "text_bytes": 0,
-                    "partitions": 0,
-                    "duration_sec": 0.0,
-                    "docs_per_sec": 0.0,
-                },
-            )
-            continue
+            routed = read_routed(pages_path, num_partitions)
         if unit_id == giant_unit_id:
-            unit_ds = routed.map_batches(
-                lambda t, cap=giant_cap: t.filter(
-                    pc.greater(t["nbytes"], cap)
-                ),
-                batch_format="pyarrow",
-            )
-            extracted = unit_ds.map_batches(
-                Extractor,
-                batch_format="pyarrow",
-                batch_size=1,
-                fn_constructor_kwargs={"giant_cap": None},
+            lo = hi = None
+            lane = {
+                "batch_size": 1,
+                "fn_constructor_kwargs": {"giant_cap": None},
                 **actor_pool(size=2),
-            )
+            }
         else:
-            unit_ds = routed.map_batches(
-                lambda t, lo=lo, hi=hi, cap=giant_cap: t.filter(
-                    pc.and_(
-                        pc.and_(
-                            pc.greater_equal(t["partition_id"], lo),
-                            pc.less(t["partition_id"], hi),
-                        ),
-                        pc.less_equal(t["nbytes"], cap),
-                    )
-                ),
-                batch_format="pyarrow",
-            )
-            extracted = unit_ds.map_batches(
-                Extractor,
-                batch_format="pyarrow",
-                batch_size=batch_size,
-                **pool,
-            )
+            lo, hi = unit_range(unit_id, num_units, num_partitions)
+            lane = {"batch_size": batch_size, **pool}
+        extracted = routed.map_batches(
+            lane_rows, batch_format="pyarrow", fn_args=(lo, hi, giant_cap)
+        ).map_batches(Extractor, batch_format="pyarrow", **lane)
 
         unit_out = mf.unit_out_dir(out_dir, unit_id)
         tmp_out = unit_out + ".tmp"
@@ -368,32 +357,22 @@ def run_extract_job(
             f for f in os.listdir(unit_out) if f.endswith(".parquet")
         ]
         dt = time.monotonic() - t0
-        if part_files:
+        metrics = {**ZERO_METRICS, "duration_sec": round(dt, 3)}
+        if part_files:  # else an empty unit (e.g. no giant rows)
             out_ds = ray.data.read_parquet(
                 unit_out, columns=["ok", "nbytes", "text", "partition_id"]
             )
             m = partition_metrics(out_ds).to_pandas()
-            metrics = {
-                "rows": int(m["rows"].sum()),
-                "ok_rows": int(m["ok_rows"].sum()),
-                "err_rows": int(m["rows"].sum() - m["ok_rows"].sum()),
-                "bytes_in": int(m["bytes_in"].sum()),
-                "text_bytes": int(m["text_bytes"].sum()),
-                "partitions": int(len(m)),
-                "duration_sec": round(dt, 3),
-                "docs_per_sec": round(float(m["rows"].sum()) / dt, 1),
-            }
-        else:  # empty unit (e.g. no giant rows): commit zero metrics
-            metrics = {
-                "rows": 0,
-                "ok_rows": 0,
-                "err_rows": 0,
-                "bytes_in": 0,
-                "text_bytes": 0,
-                "partitions": 0,
-                "duration_sec": round(dt, 3),
-                "docs_per_sec": 0.0,
-            }
+            rows, ok_rows = int(m["rows"].sum()), int(m["ok_rows"].sum())
+            metrics.update(
+                rows=rows,
+                ok_rows=ok_rows,
+                err_rows=rows - ok_rows,
+                bytes_in=int(m["bytes_in"].sum()),
+                text_bytes=int(m["text_bytes"].sum()),
+                partitions=int(len(m)),
+                docs_per_sec=round(float(rows) / dt, 1),
+            )
         mf.write_unit(out_dir, unit_id, metrics)
         results.append({"unit_id": unit_id, **metrics})
     return results

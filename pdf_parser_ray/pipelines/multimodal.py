@@ -20,7 +20,6 @@ Batch sizing: binary payload stages use small ``batch_size`` so
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -36,6 +35,7 @@ from ..pdfcore.textextract import extract_text
 from ..pdfcore.wav import decode_wav_samples, encode_wav
 from ..sources.synth import image_pixels, read_pages
 from .extract_pipeline import actor_pool
+from .textstats import documents_path
 
 MAGIC = (
     (b"%PDF-", "application/pdf"),
@@ -160,9 +160,7 @@ def _map_rows(sf_dir: str, columns: list[str], fn, schema: pa.Schema, batch_size
     if "html" in columns:
         ds = read_pages(sf_dir, columns=columns)
     else:
-        ds = ray.data.read_parquet(
-            os.path.join(sf_dir, "documents.parquet"), columns=columns
-        )
+        ds = ray.data.read_parquet(documents_path(sf_dir), columns=columns)
     return ds.map_batches(
         RowStage,
         fn_constructor_args=(fn, schema),

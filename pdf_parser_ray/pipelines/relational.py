@@ -24,6 +24,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .dedup import _mod_bucket
+
 
 # version key for the /tmp JSONL/CSV export caches: bump when the
 # exported projection changes, or stale caches serve the old layout
@@ -337,8 +339,6 @@ def _with_user_bucket(t: pa.Table) -> pa.Table:
     USER_BUCKETS with cluster size; skewed single users stay bounded
     because a user's events always fit one group's worth of memory or
     the window itself is meaningless."""
-    from .dedup import _mod_bucket
-
     b = _mod_bucket(t["user_id"].combine_chunks(), USER_BUCKETS)
     return t.append_column("bucket", b.cast(pa.int32()))
 
@@ -622,11 +622,7 @@ def sample_10pct(sf_dir: str):
     ds = ray.data.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "lang"])
 
     def pick(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"]
-        # x % 10 via x - (x // 10) * 10 (pyarrow lacks a modulo kernel)
-        ten = pa.scalar(10, pa.int64())
-        mod = pc.subtract(ids, pc.multiply(pc.divide(ids, ten), ten))
-        return t.filter(pc.equal(mod, pa.scalar(0, pa.int64())))
+        return t.filter(pc.equal(_mod_bucket(t["doc_id"], 10), 0))
 
     return ds.map_batches(pick, batch_format="pyarrow")
 
@@ -981,9 +977,7 @@ def customers_no_orders(sf_dir: str):
         k = pc.cast(t["c_custkey"], pa.int64())
         return pa.table(
             {
-                "bucket": pc.subtract(
-                    k, pc.multiply(pc.divide(k, n_buckets), pa.scalar(n_buckets))
-                ),
+                "bucket": _mod_bucket(k, n_buckets),
                 "key": k,
                 "c_mktsegment": t["c_mktsegment"],
                 "is_order": pa.array(np.zeros(len(t), np.int64)),
@@ -995,9 +989,7 @@ def customers_no_orders(sf_dir: str):
         k = pc.cast(t["o_custkey"], pa.int64()).unique()
         return pa.table(
             {
-                "bucket": pc.subtract(
-                    k, pc.multiply(pc.divide(k, n_buckets), pa.scalar(n_buckets))
-                ),
+                "bucket": _mod_bucket(k, n_buckets),
                 "key": k,
                 "c_mktsegment": pa.array([""] * len(k), pa.string()),
                 "is_order": pa.array(np.ones(len(k), np.int64)),
@@ -1235,10 +1227,7 @@ def events_federated_agg(sf_dir: str):
 
     def arm(t: pa.Table, residue: int, cents_col) -> pa.Table:
         eid = pc.cast(t["event_id"], pa.int64())
-        keep = pc.equal(
-            pc.subtract(eid, pc.multiply(pc.divide(eid, 3), pa.scalar(3))),
-            pa.scalar(residue),
-        )
+        keep = pc.equal(_mod_bucket(eid, 3), pa.scalar(residue))
         t = pa.table(
             {"event_id": eid, "event_type": t["event_type"], "value_cents": cents_col(t)}
         ).filter(keep)

@@ -23,9 +23,9 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .dedup import DUP_OFFSET
 from .extract_pipeline import actor_pool
 
-DUP_OFFSET = 10_000_000
 # embeddings dimension is inferred from the data (64 in the testdata)
 
 
@@ -476,36 +476,13 @@ def lsh_bucketed_dup_pairs(sf_dir: str, threshold: float = 0.999, n_tables: int 
     import ray.data
 
     from .dedup import (
+        _bucket_candidate_pairs,
         _cogroup_pair_payloads,
         _verify_pairs,
         coarse_buckets as _coarse_buckets,
     )
 
     base = _staged_noisy_corpus(sf_dir)
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        from .dedup import MAX_BAND_MEMBERS, _log_band_drops
-
-        a_out, b_out = [], []
-        dropped_bands = dropped_docs = 0
-        for _, grp in g.groupby("bucket"):
-            ids = np.unique(grp["vec_id"].to_numpy())
-            if len(ids) > MAX_BAND_MEMBERS:
-                # degenerate LSH bucket (e.g. a mass of zero/identical
-                # vectors): star-sample against the min id instead of
-                # going quadratic or dropping recall — see dedup.py
-                dropped_bands += 1
-                dropped_docs += len(ids)
-                hub = int(ids[0])
-                a_out.extend([hub] * (len(ids) - 1))
-                b_out.extend(int(x) for x in ids[1:])
-                continue
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    a_out.append(int(ids[i]))
-                    b_out.append(int(ids[j]))
-        _log_band_drops("embedding-lsh", dropped_bands, dropped_docs)
-        return pd.DataFrame({"a": a_out, "b": b_out}).drop_duplicates()
 
     # plan split before the verify shuffle (see dedup.py); cross-table
     # candidate dedup is free downstream — all copies of a pair
@@ -521,7 +498,11 @@ def lsh_bucketed_dup_pairs(sf_dir: str, threshold: float = 0.999, n_tables: int 
             fn_constructor_args=(n_tables, n_bits, seed, _coarse_buckets()),
         )
         .groupby("shuffle_bucket")
-        .map_groups(pairs, batch_format="pandas"),
+        .map_groups(
+            _bucket_candidate_pairs,
+            batch_format="pandas",
+            fn_args=("bucket", "vec_id", "embedding-lsh"),
+        ),
         "lsh_cand",
     )
 

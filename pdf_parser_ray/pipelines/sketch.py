@@ -19,22 +19,17 @@ do, at most k per (batch, lang).
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
 import pyarrow as pa
 
 from ..functions.hashing import fnv1a64_of_strings
+from .textstats import TOKEN_RE, documents_path
 
-TOKEN_RE = r"[A-Za-z0-9]+"
 _HALF = 1 << 63
 _2_64 = 1 << 64
 _I64_MAX = (1 << 63) - 1
-
-
-def _docs(sf_dir: str) -> str:
-    return os.path.join(sf_dir, "documents.parquet")
 
 
 def _kmv_row(lang: str, hashes: np.ndarray, k: int) -> dict:
@@ -115,7 +110,7 @@ def kmv_distinct_tokens(sf_dir: str, k: int = 128):
             }
         )
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["lang", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["lang", "text"])
     return (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby("lang")
@@ -142,7 +137,7 @@ def quantile_sketch(sf_dir: str, quantiles=(50, 90), bin_width: int = 64):
     import pandas as pd
     import ray.data
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["lang", "n_chars"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["lang", "n_chars"])
     bw = int(bin_width)
 
     def partial(t: pa.Table) -> pa.Table:
@@ -240,7 +235,7 @@ def heavy_hitters(sf_dir: str, k: int = 100):
             }
         )
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["text"])
     cand = (
         ds.map_batches(candidates, batch_format="pyarrow")
         .groupby("token")
@@ -359,7 +354,7 @@ def cms_token_counts(sf_dir: str, width: int = 1024, depth: int = 2):
             }
         )
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["text"])
     ctr_rows = (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby("rc")
@@ -482,7 +477,7 @@ def hll_distinct_shingles(sf_dir: str):
         )
 
     regs = (
-        ray.data.read_parquet(_docs(sf_dir), columns=["lang", "text"])
+        ray.data.read_parquet(documents_path(sf_dir), columns=["lang", "text"])
         .map_batches(partial, batch_format="pyarrow")
         .groupby(["lang", "bucket"])
         .aggregate(Max("rho", alias_name="rho"))

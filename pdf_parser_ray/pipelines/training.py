@@ -26,7 +26,6 @@ compiled regexes live in actor ``__init__``.
 
 from __future__ import annotations
 
-import os
 import re
 from collections import Counter
 
@@ -35,9 +34,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .dedup import _mod_bucket
 from .extract_pipeline import actor_pool
+from .textstats import TOKEN_RE, documents_path
 
-TOKEN_RE = r"[A-Za-z0-9]+"
 # Kept RE2-compatible on purpose: no backrefs/lookaround, so the DuckDB
 # oracle's regexp_replace/extract_all sees identical match sets.
 EMAIL_RE = r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"
@@ -45,10 +45,6 @@ PHONE_RE = r"\b555-[0-9]{4}\b"
 
 # per-language keep rates out of 100 (deterministic doc_id % 100 gate)
 SAMPLE_RATES = {"en": 50, "de": 20, "fr": 10, "es": 5, "zh": 2}
-
-
-def _docs(sf_dir: str) -> str:
-    return os.path.join(sf_dir, "documents.parquet")
 
 
 # -- PII redaction ----------------------------------------------------------
@@ -100,7 +96,7 @@ def pii_redact(sf_dir: str):
     starve a fleet."""
     import ray.data
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
     return ds.map_batches(PiiRedactor, batch_format="pandas", **actor_pool())
 
 
@@ -141,7 +137,7 @@ class RepetitionStats:
 def gopher_repetition(sf_dir: str):
     import ray.data
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
     return ds.map_batches(RepetitionStats, batch_format="pyarrow", **actor_pool())
 
 
@@ -196,7 +192,7 @@ def stratified_sample(sf_dir: str):
     keep doc iff doc_id % 100 < rate[lang]. Pure filter — no shuffle."""
     import ray.data
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "lang"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "lang"])
 
     def keep(df: pd.DataFrame) -> pd.DataFrame:
         rate = df["lang"].map(SAMPLE_RATES).fillna(0).astype("int64")
@@ -220,7 +216,7 @@ def bottomk_sample_per_lang(sf_dir: str, k: int = 16):
 
     from ..functions.hashing import fnv1a64_of_int_strings
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "lang"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "lang"])
     half = np.uint64(1 << 63)
 
     def local_bottomk(df: pd.DataFrame) -> pd.DataFrame:
@@ -271,7 +267,7 @@ def bpe_token_counts(sf_dir: str):
     in textstats.token_counts). Vectorized pandas str.count."""
     import ray.data
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
 
     def count(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -298,7 +294,7 @@ def shuffle_assignment(sf_dir: str, n_shards: int = 64):
 
     from ..functions.hashing import fnv1a64_of_int_strings
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id"])
 
     def key(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -395,13 +391,10 @@ def dup_ngram_mass(sf_dir: str, n: int = 8):
 
     n_buckets = 1024
     n_doc_buckets = coarse_buckets(floor=256)
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        g1 = t["g1"]
-        b = pc.subtract(
-            g1, pc.multiply(pc.divide(g1, n_buckets), pa.scalar(n_buckets))
-        )
+        b = _mod_bucket(t["g1"], n_buckets)
         return t.append_column("bucket", pc.cast(b, pa.int64()))
 
     emitted = ds.map_batches(
@@ -464,19 +457,15 @@ def decontaminate(sf_dir: str, n: int = 8):
 
     # modulo isn't a pyarrow dataset-expression kernel, so the eval/
     # corpus split is a vectorized in-batch filter over the pruned
-    # (doc_id, text) read (x - (x//41)*41 — the pc.modulo workaround)
-    def _mod41(ids: pa.ChunkedArray) -> pa.ChunkedArray:
-        q = pc.divide(ids, pa.scalar(41, pa.int64()))
-        return pc.subtract(ids, pc.multiply(q, pa.scalar(41, pa.int64())))
-
+    # (doc_id, text) read
     def _slice(is_eval: bool):
         def f(t: pa.Table) -> pa.Table:
-            m = pc.equal(_mod41(t["doc_id"]), pa.scalar(0, pa.int64()))
+            m = pc.equal(_mod_bucket(t["doc_id"], 41), pa.scalar(0, pa.int64()))
             return t.filter(m if is_eval else pc.invert(m))
 
         return f
 
-    base = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    base = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
     eval_ds = base.map_batches(_slice(True), batch_format="pyarrow")
     emitter = NGramEmitter(n)
     eval_grams = set()
@@ -531,7 +520,7 @@ def vocab_stats(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Count, Sum
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
     word_re = re.compile(TOKEN_RE)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -582,7 +571,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 3):
     from ..functions.hashing import fnv1a64_of_strings
 
     n_buckets = 1024
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
     word_re = re.compile(TOKEN_RE)
     scale = 10**12
 
@@ -708,7 +697,7 @@ def pack_sequences(
     import ray.data
     from ray.data.aggregate import Sum
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
 
     def tok(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -839,7 +828,7 @@ def training_mix_pipeline(
     import ray.data
 
     ds = ray.data.read_parquet(
-        _docs(sf_dir), columns=["doc_id", "text", "lang"]
+        documents_path(sf_dir), columns=["doc_id", "text", "lang"]
     )
     word_re = re.compile(TOKEN_RE)
 
@@ -930,7 +919,7 @@ def rare_token_mass(sf_dir: str, threshold: int = 5):
             }
         )
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
     injected = ds.map_batches(inject, batch_format="pyarrow")
 
     def word_doc_counts(batch: pa.Table) -> pa.Table:
@@ -1060,7 +1049,7 @@ def line_dedup(sf_dir: str, min_docs: int = 3):
     def _lines_for(doc_id: int, text: str) -> list[str]:
         return [text, f"footer {doc_id % 7}", f"banner {doc_id % 3}", f"sig {doc_id}"]
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
 
     def line_occurrences(batch: pa.Table) -> pa.Table:
         ids, idxs, lines = [], [], []
@@ -1184,13 +1173,7 @@ def normalize_text(sf_dir: str):
 
     def norm(t: pa.Table) -> pa.Table:
         ids = t["doc_id"]
-        digit = pc.cast(
-            pc.subtract(
-                ids, pc.multiply(pc.divide(ids, pa.scalar(10, pa.int64())),
-                                 pa.scalar(10, pa.int64()))
-            ),
-            pa.string(),
-        )
+        digit = pc.cast(_mod_bucket(ids, 10), pa.string())
         injected = pc.binary_join_element_wise(
             pc.binary_join_element_wise(
                 t["text"], pa.scalar("caf" + "e" + "́" + "\t"), "  "
@@ -1218,7 +1201,7 @@ def normalize_text(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
     return ds.map_batches(norm, batch_format="pyarrow")
 
 
@@ -1268,7 +1251,7 @@ def bigram_lm_score(sf_dir: str, scale: int = 10**6):
     n_buckets = 1024
     from .dedup import coarse_buckets as _cb
     n_doc_buckets = _cb(floor=256)
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
     word_re = re.compile(TOKEN_RE)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1415,13 +1398,10 @@ def dup_span_removal(sf_dir: str, n: int = 8):
     import ray.data
 
     n_buckets = 1024
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
 
     def _bucket(t: pa.Table) -> pa.ChunkedArray:
-        g1 = t["g1"]
-        return pc.subtract(
-            g1, pc.multiply(pc.divide(g1, n_buckets), pa.scalar(n_buckets))
-        )  # pyarrow has no modulo kernel
+        return _mod_bucket(t["g1"], n_buckets)
 
     def pos_side(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -1485,7 +1465,7 @@ def url_canonicalize(sf_dir: str):
     clean original. Fully vectorized pandas string ops; no shuffle."""
     import ray.data
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id"])
 
     def canon(df: pd.DataFrame) -> pd.DataFrame:
         ids = df["doc_id"]
@@ -1538,7 +1518,7 @@ def doc_chunks(sf_dir: str, chunk_size: int = 64, stride: int = 48):
     one document; column I/O stays Arrow)."""
     import ray.data
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "text"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
 
     def chunk(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)
@@ -1587,7 +1567,7 @@ def temperature_sample(sf_dir: str):
     from ..functions.hashing import fnv1a64_of_int_strings
 
     counts = (
-        ray.data.read_parquet(_docs(sf_dir), columns=["lang"])
+        ray.data.read_parquet(documents_path(sf_dir), columns=["lang"])
         .groupby("lang")
         .aggregate(Count(alias_name="n"))
         .take_all()
@@ -1596,7 +1576,7 @@ def temperature_sample(sf_dir: str):
         r["lang"]: np.uint64(1000 * math.isqrt(int(r["n"]))) for r in counts
     }
 
-    ds = ray.data.read_parquet(_docs(sf_dir), columns=["doc_id", "lang"])
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "lang"])
 
     def keep(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].to_numpy(zero_copy_only=False)

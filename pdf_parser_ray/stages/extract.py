@@ -7,12 +7,15 @@ ToUnicode CMap cache, which the reference has no analogue for because
 it never amortizes anything across documents (src/lib.rs:17-23 holds
 per-document state only).
 
-Per row: dispatch on ``kind`` -> pdf_extract / html_extract; every
-reference panic/error becomes ``ok=false, error=...`` columns — one
-corrupt document can never kill the job (SURVEY.md §1.2). The per-row
-Python loop is the right granularity: each iteration is a whole
-document parse (vectorization unit = document), while all column I/O
-stays Arrow.
+Per row: ``extract_row`` dispatches on ``kind`` (PDF byte core or
+HTML strip) and returns one ``(ok, error, text, spans, n_pages,
+n_objects)`` tuple; every reference panic/error becomes an ``ok=false``
+row with its ``error`` string — one corrupt document can never kill
+the job (SURVEY.md §1.2). The per-row Python loop is the right
+granularity: each iteration is a whole document parse (vectorization
+unit = document), while all column I/O stays Arrow: ``Extractor``
+builds the six row columns once per batch with their ``OUTPUT_SCHEMA``
+types and passes the input columns through unchanged.
 
 Output schema (SURVEY.md §1.2): url, warc_ts, lang, kind, ok, error,
 text:large_binary, spans:list<struct<start,end,kind,page>>, n_pages,
@@ -54,15 +57,36 @@ OUTPUT_SCHEMA = pa.schema(
     ]
 )
 
+# the columns extract_row fills, in its tuple order
+ROW_COLUMNS = ("ok", "error", "text", "spans", "n_pages", "n_objects")
+
 # payloads above this size are routed to the low-concurrency giant-row
 # pool instead of the main pool (skew guard, SURVEY.md §4)
 GIANT_ROW_BYTES = 64 * 1024 * 1024
 
 
-def extract_pdf(payload: bytes, cmap_cache: dict):
-    doc = PdfDocument(payload)
-    text, spans = extract_text(doc, cmap_cache)
-    return text, spans, len(doc.pages), doc.n_objects
+def _failed(error: str) -> tuple:
+    return False, error, b"", [], 0, 0
+
+
+def extract_row(kind: str, payload: bytes, cmap_cache: dict) -> tuple:
+    """One document -> ``(ok, error, text, spans, n_pages, n_objects)``.
+
+    Never raises: a ``PdfError`` becomes its ``describe()`` string and
+    any other exception an ``internal: <Type>: <message>`` string."""
+    try:
+        if kind == "pdf":
+            doc = PdfDocument(payload)
+            text, spans = extract_text(doc, cmap_cache)
+            return True, None, text, spans, len(doc.pages), doc.n_objects
+        if kind == "html":
+            text, spans = extract_html_text(payload)
+            return True, None, text, spans, 0, 0
+        return _failed("route: unsupported payload")
+    except PdfError as e:
+        return _failed(e.describe())
+    except Exception as e:  # engine bug: contained, flagged loudly
+        return _failed(f"internal: {type(e).__name__}: {e}")
 
 
 class Extractor:
@@ -79,17 +103,8 @@ class Extractor:
         self.giant_cap = giant_cap
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        kinds = batch["kind"].to_pylist()
-        payloads = batch["html"].to_pylist()
-
-        oks: list[bool] = []
-        errors: list[str | None] = []
-        texts: list[bytes] = []
-        spans_col: list[list[dict]] = []
-        n_pages: list[int] = []
-        n_objects: list[int] = []
-
-        for kind, payload in zip(kinds, payloads):
+        rows = []
+        for kind, payload in zip(batch["kind"].to_pylist(), batch["html"].to_pylist()):
             if payload is None:
                 payload = b""
             if self.giant_cap is not None and len(payload) > self.giant_cap:
@@ -97,64 +112,17 @@ class Extractor:
                 # not stall a worker in the main pool; the giant lane
                 # (run_extract_job) reprocesses these rows with an
                 # uncapped low-concurrency actor pair
-                oks.append(False)
-                errors.append(
+                rows.append(_failed(
                     f"giant: payload of {len(payload)} bytes exceeds the "
                     f"{self.giant_cap}-byte main-pool cap"
-                )
-                texts.append(b"")
-                spans_col.append([])
-                n_pages.append(0)
-                n_objects.append(0)
-                continue
-            try:
-                if kind == "pdf":
-                    text, spans, np_, no_ = extract_pdf(payload, self.cmap_cache)
-                elif kind == "html":
-                    text, spans = extract_html_text(payload)
-                    np_, no_ = 0, 0
-                else:
-                    oks.append(False)
-                    errors.append("route: unsupported payload")
-                    texts.append(b"")
-                    spans_col.append([])
-                    n_pages.append(0)
-                    n_objects.append(0)
-                    continue
-                oks.append(True)
-                errors.append(None)
-                texts.append(text)
-                spans_col.append(spans)
-                n_pages.append(np_)
-                n_objects.append(no_)
-            except PdfError as e:
-                oks.append(False)
-                errors.append(e.describe())
-                texts.append(b"")
-                spans_col.append([])
-                n_pages.append(0)
-                n_objects.append(0)
-            except Exception as e:  # engine bug: contained, flagged loudly
-                oks.append(False)
-                errors.append(f"internal: {type(e).__name__}: {e}")
-                texts.append(b"")
-                spans_col.append([])
-                n_pages.append(0)
-                n_objects.append(0)
-
-        return pa.table(
-            {
-                "url": batch["url"],
-                "warc_ts": batch["warc_ts"],
-                "lang": batch["lang"],
-                "kind": batch["kind"],
-                "ok": pa.array(oks, type=pa.bool_()),
-                "error": pa.array(errors, type=pa.string()),
-                "text": pa.array(texts, type=pa.large_binary()),
-                "spans": pa.array(spans_col, type=pa.list_(SPAN_TYPE)),
-                "n_pages": pa.array(n_pages, type=pa.int32()),
-                "n_objects": pa.array(n_objects, type=pa.int32()),
-                "nbytes": batch["nbytes"],
-                "partition_id": batch["partition_id"],
-            }
-        )
+                ))
+            else:
+                rows.append(extract_row(kind, payload, self.cmap_cache))
+        # row columns are built here with their OUTPUT_SCHEMA types; the
+        # pass-through columns keep their input arrays (zero-copy)
+        built = dict(zip(ROW_COLUMNS, zip(*rows)))
+        return pa.table({
+            f.name: pa.array(built.get(f.name, ()), type=f.type)
+            if f.name in ROW_COLUMNS else batch[f.name]
+            for f in OUTPUT_SCHEMA
+        })
