@@ -1176,7 +1176,7 @@ def oracle_sql() -> dict[str, str]:
             FROM documents
         """,
         # snapshot delta: B drops %13, edits %17 survivors, adds %19
-        # offspring at doc_id + 1000000 (SNAPSHOT_ADD_OFFSET)
+        # offspring at doc_id + max(1000000, max(doc_id) + 1)
         "snapshot_diff": """
             SELECT doc_id, 'removed' AS change FROM documents
             WHERE doc_id % 13 = 0
@@ -1184,8 +1184,9 @@ def oracle_sql() -> dict[str, str]:
             SELECT doc_id, 'changed' FROM documents
             WHERE doc_id % 13 <> 0 AND doc_id % 17 = 0
             UNION ALL
-            SELECT doc_id + 1000000, 'added' FROM documents
-            WHERE doc_id % 19 = 0
+            SELECT doc_id + GREATEST(1000000, (SELECT max(doc_id) + 1 FROM documents)),
+                   'added'
+            FROM documents WHERE doc_id % 19 = 0
         """,
         # the removal composite: drop the larger member of every
         # verified near-dup pair (keep-smallest-id), emit survivors

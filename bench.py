@@ -6,9 +6,10 @@ route -> actor-pool extract -> write_parquet) over $GRAFT_SF_DIR
 region is compute-bound rather than startup-bound. Plus per-query
 timings for representative operators.
 
-Prints ONE JSON line:
-  {"metric": "...", "value": <headline sec>, "unit": "sec",
-   "queries": {...}, "sf": ..., "num_cpus": N, ...}
+Prints one ``<query>\t<sec>`` line per query timing, then ends in ONE
+short JSON line, the headline:
+  {"metric": "...", "value": <best sec>, "unit": "sec", "all_sec": [...],
+   "spread": ..., "host_cpus": N, "ray_version": "...", "genver": "...", ...}
 
 ``--scaling``: runs the headline in fresh processes at N=2 and 4N=8
 extract workers (``GRAFT_SCALE_LO`` / ``GRAFT_SCALE_HI``) on the SAME
@@ -132,6 +133,7 @@ def run_headline(pool: int | None = None) -> dict:
     engine's own pool (``extract_pipeline.actor_pool``), sized from the
     Ray CPU claim with headroom for the read/route/write stages.
     """
+    import ray
     import ray.data
 
     from pdf_parser_ray.pipelines.extract_pipeline import actor_pool, build_extract_ds
@@ -162,19 +164,28 @@ def run_headline(pool: int | None = None) -> dict:
         )
         ds.write_parquet(out_dir)
         times.append(time.monotonic() - t0)
+    from pdf_parser_ray.sources.synth import GENVER
+
     sec = min(times)
     return {
         "value": round(sec, 3),
         "unit": "sec",
         "docs": n_docs,
         "docs_per_sec": round(n_docs / sec, 1),
+        "best_of": len(times),
         "all_sec": [round(t, 3) for t in times],
+        "spread": round((max(times) - sec) / sec, 3),
+        "host_cpus": len(os.sched_getaffinity(0)),
         "num_cpus": NUM_CPUS,
+        "ray_version": ray.__version__,
+        "genver": GENVER,
         "pool": pinned or actor_pool()["concurrency"],
     }
 
 
 def run_bench() -> dict:
+    """Time the headline, print one line per query timing, and return
+    the headline (the caller prints it last)."""
     import ray
 
     _init_ray()
@@ -183,19 +194,17 @@ def run_bench() -> dict:
     import __ray_entry__ as entrymod
 
     qs = entrymod.queries()
-    query_secs: dict[str, float] = {}
     for name in BENCH_QUERIES:
         t0 = time.monotonic()
         result = qs[name](SF_DIR)
         if hasattr(result, "to_pandas"):
             result.to_pandas()
-        query_secs[name] = round(time.monotonic() - t0, 3)
+        print(f"{name}\t{time.monotonic() - t0:.3f}", flush=True)
 
     ray.shutdown()
     return {
         "metric": "extraction pipeline wall time (synthetic CC pages, tiled)",
         **headline,
-        "queries": query_secs,
         "sf": SF_DIR,
         "repeat": REPEAT,
     }

@@ -24,6 +24,7 @@ import pyarrow.compute as pc
 from ..stages.extract import Extractor
 from ..stages.route import make_router
 from ..state import manifest as mf
+from .agg import two_phase_agg
 
 DEFAULT_NUM_PARTITIONS = 256
 
@@ -126,29 +127,21 @@ def partition_metrics(extracted_ds):
     """Per-partition lineage metrics — the only shuffle in the pipeline,
     over one small row per (partition, batch) partial (SURVEY.md §2.6)."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        ok_int = batch["ok"].cast(pa.int64())
-        t = pa.table(
-            {
-                "partition_id": batch["partition_id"],
-                "rows": pa.array([1] * len(batch), pa.int64()),
-                "ok_rows": ok_int,
-                "bytes_in": batch["nbytes"],
-                "text_bytes": pc.binary_length(batch["text"]).cast(pa.int64()),
-            }
-        )
-        return t.group_by("partition_id").aggregate(
-            [("rows", "sum"), ("ok_rows", "sum"), ("bytes_in", "sum"), ("text_bytes", "sum")]
-        ).rename_columns(["partition_id", "rows", "ok_rows", "bytes_in", "text_bytes"])
+    def prepare(t: pa.Table) -> pa.Table:
+        t = t.append_column("ok_int", t["ok"].cast(pa.int64()))
+        text_bytes = pc.binary_length(t["text"]).cast(pa.int64())
+        return t.append_column("text_bytes", text_bytes)
 
-    from ray.data.aggregate import Sum
-
-    partials = extracted_ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby("partition_id").aggregate(
-        Sum("rows", alias_name="rows"),
-        Sum("ok_rows", alias_name="ok_rows"),
-        Sum("bytes_in", alias_name="bytes_in"),
-        Sum("text_bytes", alias_name="text_bytes"),
+    return two_phase_agg(
+        extracted_ds,
+        "partition_id",
+        {
+            "rows": (None, "rows"),
+            "ok_rows": ("ok_int", "sum"),
+            "bytes_in": ("nbytes", "sum"),
+            "text_bytes": ("text_bytes", "sum"),
+        },
+        prepare,
     )
 
 
@@ -177,19 +170,27 @@ def stage_pages(
     *,
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
     num_units: int = 8,
+    giant_cap: int | None = None,
 ) -> str:
     """Route the input ONCE and write it hive-partitioned by resume
     unit (``unit_id=K/``), so each unit sub-job reads only its own
     files — the fleet-scale layout from DESIGN.md "Unit reads", which
-    removes the per-unit full-input re-read. Idempotent (atomic commit
+    removes the per-unit full-input re-read. Rows whose payload exceeds
+    ``giant_cap`` (default stages.extract.GIANT_ROW_BYTES) go to the
+    giant-lane unit ``unit_id=<num_units>``. Idempotent (atomic commit
     + _SUCCESS marker)."""
     import json
 
+    from ..stages.extract import GIANT_ROW_BYTES
+
+    if giant_cap is None:
+        giant_cap = GIANT_ROW_BYTES
     grid = {
         "pages_path": os.path.abspath(pages_path),
         "input_fingerprint": _input_fingerprint(pages_path),
         "num_partitions": num_partitions,
         "num_units": num_units,
+        "giant_cap": giant_cap,
     }
     marker = os.path.join(staging_dir, "_SUCCESS")
     if os.path.exists(marker):
@@ -217,9 +218,9 @@ def stage_pages(
 
     def add_unit(t: pa.Table) -> pa.Table:
         pid = t["partition_id"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "unit_id", pa.array(unit_of[pid], type=pa.int32())
-        )
+        giant = t["nbytes"].to_numpy(zero_copy_only=False) > giant_cap
+        unit = np.where(giant, num_units, unit_of[pid])
+        return t.append_column("unit_id", pa.array(unit, type=pa.int32()))
 
     tmp = staging_dir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
@@ -261,9 +262,9 @@ def run_extract_job(
     real output.
 
     ``staging_dir``: route + hive-partition the input by unit ONCE
-    (stage_pages) so each unit reads only its own files instead of
-    filtering a full scan — the fleet-scale layout (DESIGN.md); the
-    giant lane still filter-scans the whole input. At
+    (stage_pages) so each unit, the giant lane included, reads only its
+    own files instead of filtering a full scan — the fleet-scale layout
+    (DESIGN.md), which scans the input twice in all. At
     ``num_units >= 32`` staging switches ON automatically (scan
     amplification of the filter-scan path is O(units)); pass
     ``staging_dir=""`` to force filter-scan anyway.
@@ -285,7 +286,7 @@ def run_extract_job(
         # against the stale one's grid marker
         key = hashlib.sha256(
             f"{os.path.abspath(pages_path)}|{_input_fingerprint(pages_path)}"
-            f"|{num_partitions}|{num_units}".encode()
+            f"|{num_partitions}|{num_units}|{giant_cap}".encode()
         ).hexdigest()[:10]
         staging_dir = out_dir.rstrip("/") + f"_staging_{key}"
     elif staging_dir == "":
@@ -309,26 +310,18 @@ def run_extract_job(
             staging_dir,
             num_partitions=num_partitions,
             num_units=num_units,
+            giant_cap=giant_cap,
         )
     done = mf.done_units(out_dir) if resume else set()
     os.makedirs(out_dir, exist_ok=True)
     mf.write_job(out_dir, job_params)
 
     results = []
-    giant_unit_id = num_units  # dedicated final unit for giant rows
-    for unit_id in range(num_units + 1):
+    for unit_id in range(num_units + 1):  # the final unit is the giant lane
         if unit_id in done:
             continue
         t0 = time.monotonic()
-        if staging_dir is not None and unit_id != giant_unit_id:
-            unit_dir = os.path.join(staging_dir, f"unit_id={unit_id}")
-            if not os.path.isdir(unit_dir):  # unit had no rows at all
-                mf.write_unit(out_dir, unit_id, ZERO_METRICS)
-                continue
-            routed = ray.data.read_parquet(unit_dir)
-        else:
-            routed = read_routed(pages_path, num_partitions)
-        if unit_id == giant_unit_id:
+        if unit_id == num_units:
             lo = hi = None
             lane = {
                 "batch_size": 1,
@@ -337,19 +330,31 @@ def run_extract_job(
             }
         else:
             lo, hi = unit_range(unit_id, num_units, num_partitions)
-            lane = {"batch_size": batch_size, **pool}
-        extracted = routed.map_batches(
-            lane_rows, batch_format="pyarrow", fn_args=(lo, hi, giant_cap)
-        ).map_batches(Extractor, batch_format="pyarrow", **lane)
+            lane = {
+                "batch_size": batch_size,
+                "fn_constructor_kwargs": {"giant_cap": giant_cap},
+                **pool,
+            }
+        if staging_dir is None:
+            routed = read_routed(pages_path, num_partitions)
+        else:
+            unit_dir = os.path.join(staging_dir, f"unit_id={unit_id}")
+            # a unit with no staged rows has no directory
+            has_rows = os.path.isdir(unit_dir)
+            routed = ray.data.read_parquet(unit_dir) if has_rows else None
 
         unit_out = mf.unit_out_dir(out_dir, unit_id)
         tmp_out = unit_out + ".tmp"
         shutil.rmtree(tmp_out, ignore_errors=True)
         shutil.rmtree(unit_out, ignore_errors=True)
         os.makedirs(tmp_out, exist_ok=True)  # empty units still commit
-        # bound file counts: at fleet scale thousands of tiny part
-        # files per unit wreck the downstream read path
-        extracted.write_parquet(tmp_out, min_rows_per_file=50_000)
+        if routed is not None:
+            extracted = routed.map_batches(
+                lane_rows, batch_format="pyarrow", fn_args=(lo, hi, giant_cap)
+            ).map_batches(Extractor, batch_format="pyarrow", **lane)
+            # bound file counts: at fleet scale thousands of tiny part
+            # files per unit wreck the downstream read path
+            extracted.write_parquet(tmp_out, min_rows_per_file=50_000)
         os.rename(tmp_out, unit_out)
 
         # lineage metrics for the unit (small read over committed files)

@@ -5,7 +5,7 @@ aggregation, sessionization.
 Scale notes:
 - Aggregations pre-combine inside ``map_batches`` (one partial row per
   key per batch) before the small ``groupby`` — the only shuffled data
-  is the partial table, not the input.
+  is the partial table, not the input (``agg.two_phase_agg``).
 - Money sums use integer cents (``floor(x*100 + 0.5)``) so results are
   order-independent and bit-exact against the SQL oracle (double sums
   are not associative).
@@ -24,6 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import two_phase_agg
 from .dedup import _mod_bucket
 
 
@@ -45,68 +46,49 @@ def _cents(col: pa.ChunkedArray) -> pa.ChunkedArray:
     )
 
 
+def _hour(ts: pa.ChunkedArray) -> pa.ChunkedArray:
+    """timestamp[us] -> int64 hours since the epoch."""
+    return pc.divide(pc.cast(ts, pa.int64()), pa.scalar(3_600_000_000, pa.int64()))
+
+
+# integer-cents revenue and row count per key (the per-order demos)
+REVENUE_AGGS = {"revenue_cents": ("revenue_cents", "sum"), "n_orders": (None, "rows")}
+# integer-cents value and event count per key (the per-event demos)
+EVENT_AGGS = {"value_cents": ("value_cents", "sum"), "n_events": (None, "rows")}
+
+
 def doc_stats_by_lang(sf_dir: str):
     """lang -> n_docs, sum_chars (partial-agg -> tiny groupby)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(_p(sf_dir, "documents"), columns=["lang", "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("lang").aggregate([("n_chars", "sum"), ("lang", "count")])
-        return pa.table(
-            {
-                "lang": g["lang"],
-                "sum_chars": g["n_chars_sum"],
-                "n_docs": g["lang_count"].cast(pa.int64()),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Sum("sum_chars", alias_name="sum_chars"),
-        )
+    return two_phase_agg(
+        ds, "lang", {"n_docs": (None, "rows"), "sum_chars": ("n_chars", "sum")}
     )
 
 
 def lineitem_agg(sf_dir: str):
     """TPC-H Q1-shaped: returnflag/linestatus -> qty, cents, count."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         _p(sf_dir, "lineitem"),
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        t2 = pa.table(
-            {
-                "l_returnflag": t["l_returnflag"],
-                "l_linestatus": t["l_linestatus"],
-                "qty": pc.cast(t["l_quantity"], pa.int64()),
-                "price_cents": _cents(t["l_extendedprice"]),
-                "n": pa.array(np.ones(len(t), dtype=np.int64)),
-            }
-        )
-        g = t2.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("price_cents", "sum"), ("n", "sum")]
-        )
-        return g.rename_columns(
-            ["l_returnflag", "l_linestatus", "sum_qty", "sum_price_cents", "n_rows"]
-        )
+    def prepare(t: pa.Table) -> pa.Table:
+        t = t.append_column("qty", pc.cast(t["l_quantity"], pa.int64()))
+        return t.append_column("price_cents", _cents(t["l_extendedprice"]))
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_price_cents", alias_name="sum_price_cents"),
-            Sum("n_rows", alias_name="n_rows"),
-        )
+    return two_phase_agg(
+        ds,
+        ["l_returnflag", "l_linestatus"],
+        {
+            "sum_qty": ("qty", "sum"),
+            "sum_price_cents": ("price_cents", "sum"),
+            "n_rows": (None, "rows"),
+        },
+        prepare,
     )
 
 
@@ -116,7 +98,6 @@ def orders_by_nation(sf_dir: str):
     ride into every task as a numpy lookup (no shuffle)."""
     import pyarrow.parquet as pq
     import ray.data
-    from ray.data.aggregate import Sum
 
     cust = pq.read_table(_p(sf_dir, "customer"), columns=["c_custkey", "c_nationkey"])
     nation = pq.read_table(_p(sf_dir, "nation"), columns=["n_nationkey", "n_name"])
@@ -131,28 +112,18 @@ def orders_by_nation(sf_dir: str):
         _p(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
     )
 
-    def partial(t: pa.Table) -> pa.Table:
+    def prepare(t: pa.Table) -> pa.Table:
         names = [
             nation_name[cust_to_nation[ck]] for ck in t["o_custkey"].to_pylist()
         ]
-        t2 = pa.table(
+        return pa.table(
             {
                 "n_name": pa.array(names, type=pa.string()),
                 "revenue_cents": _cents(t["o_totalprice"]),
-                "n": pa.array(np.ones(len(t), dtype=np.int64)),
             }
         )
-        g = t2.group_by("n_name").aggregate([("revenue_cents", "sum"), ("n", "sum")])
-        return g.rename_columns(["n_name", "revenue_cents", "n_orders"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"),
-            Sum("n_orders", alias_name="n_orders"),
-        )
-    )
+    return two_phase_agg(ds, "n_name", REVENUE_AGGS, prepare)
 
 
 def orders_join_native(sf_dir: str):
@@ -161,7 +132,6 @@ def orders_join_native(sf_dir: str):
     order counts + revenue cents. Complements the broadcast join above
     for the case where neither side fits a broadcast."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     orders = ray.data.read_parquet(
         _p(sf_dir, "orders"), columns=["o_custkey", "o_totalprice"]
@@ -177,27 +147,10 @@ def orders_join_native(sf_dir: str):
         right_on=("c_custkey",),
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        t2 = pa.table(
-            {
-                "c_mktsegment": t["c_mktsegment"],
-                "revenue_cents": _cents(t["o_totalprice"]),
-                "n": pa.array(np.ones(len(t), dtype=np.int64)),
-            }
-        )
-        g = t2.group_by("c_mktsegment").aggregate(
-            [("revenue_cents", "sum"), ("n", "sum")]
-        )
-        return g.rename_columns(["c_mktsegment", "revenue_cents", "n_orders"])
+    def prepare(t: pa.Table) -> pa.Table:
+        return t.append_column("revenue_cents", _cents(t["o_totalprice"]))
 
-    return (
-        joined.map_batches(partial, batch_format="pyarrow")
-        .groupby("c_mktsegment")
-        .aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"),
-            Sum("n_orders", alias_name="n_orders"),
-        )
-    )
+    return two_phase_agg(joined, "c_mktsegment", REVENUE_AGGS, prepare)
 
 
 def top_docs_by_chars(sf_dir: str, k: int = 10):
@@ -211,37 +164,21 @@ def top_docs_by_chars(sf_dir: str, k: int = 10):
 def events_hourly(sf_dir: str):
     """Tumbling 1-hour windows per event_type: n events + value cents."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         _p(sf_dir, "events"), columns=["event_type", "ts", "value"]
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        hour = pc.divide(
-            pc.cast(t["ts"], pa.int64()), pa.scalar(3_600_000_000, pa.int64())
-        )
-        t2 = pa.table(
+    def prepare(t: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "event_type": t["event_type"],
-                "hour": hour,
+                "hour": _hour(t["ts"]),
                 "value_cents": _cents(t["value"]),
-                "n": pa.array(np.ones(len(t), dtype=np.int64)),
             }
         )
-        g = t2.group_by(["event_type", "hour"]).aggregate(
-            [("value_cents", "sum"), ("n", "sum")]
-        )
-        return g.rename_columns(["event_type", "hour", "value_cents", "n_events"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "hour"])
-        .aggregate(
-            Sum("value_cents", alias_name="value_cents"),
-            Sum("n_events", alias_name="n_events"),
-        )
-    )
+    return two_phase_agg(ds, ["event_type", "hour"], EVENT_AGGS, prepare)
 
 
 def events_sliding(sf_dir: str, window_hours: int = 2, hop_hours: int = 1):
@@ -257,73 +194,43 @@ def events_sliding(sf_dir: str, window_hours: int = 2, hop_hours: int = 1):
     arrival date so late data reopens only its own partition's
     windows."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     n_covers = window_hours // hop_hours
     ds = ray.data.read_parquet(
         _p(sf_dir, "events"), columns=["event_type", "ts", "value"]
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        hour = pc.divide(
-            pc.cast(t["ts"], pa.int64()), pa.scalar(3_600_000_000, pa.int64())
-        )
+    def prepare(t: pa.Table) -> pa.Table:
+        hour = _hour(t["ts"])
         cents = _cents(t["value"])
-        parts = []
-        for off in range(n_covers):
-            parts.append(
-                pa.table(
-                    {
-                        "event_type": t["event_type"],
-                        "win_start": pc.subtract(
-                            hour, pa.scalar(off, pa.int64())
-                        ),
-                        "value_cents": cents,
-                        "n": pa.array(np.ones(len(t), dtype=np.int64)),
-                    }
-                )
+        return pa.concat_tables(
+            pa.table(
+                {
+                    "event_type": t["event_type"],
+                    "win_start": pc.subtract(hour, pa.scalar(off, pa.int64())),
+                    "value_cents": cents,
+                }
             )
-        t2 = pa.concat_tables(parts)
-        g = t2.group_by(["event_type", "win_start"]).aggregate(
-            [("value_cents", "sum"), ("n", "sum")]
-        )
-        return g.rename_columns(
-            ["event_type", "win_start", "value_cents", "n_events"]
+            for off in range(n_covers)
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "win_start"])
-        .aggregate(
-            Sum("value_cents", alias_name="value_cents"),
-            Sum("n_events", alias_name="n_events"),
-        )
-    )
+    return two_phase_agg(ds, ["event_type", "win_start"], EVENT_AGGS, prepare)
 
 
 def events_minmax(sf_dir: str):
     """Min/Max/Count aggregate family per event_type (integer cents)."""
     import ray.data
-    from ray.data.aggregate import Count, Max, Min
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"), columns=["event_type", "value"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "event_type": t["event_type"],
-                "value_cents": _cents(t["value"]),
-            }
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Min("value_cents", alias_name="min_cents"),
-            Max("value_cents", alias_name="max_cents"),
-            Count(alias_name="n"),
-        )
+    return two_phase_agg(
+        ds,
+        "event_type",
+        {
+            "min_cents": ("value_cents", "min"),
+            "max_cents": ("value_cents", "max"),
+            "n": (None, "rows"),
+        },
+        lambda t: t.append_column("value_cents", _cents(t["value"])),
     )
 
 
@@ -406,32 +313,19 @@ def sessions_per_user(sf_dir: str, gap_sec: int = 1800):
 def events_props_agg(sf_dir: str):
     """Semi-structured extraction: parse the JSON ``props`` column and
     aggregate the extracted field per event_type. The hot path is a
-    vectorized pandas regex extract (the corpus is schema-stable
+    vectorized Arrow regex extract (the corpus is schema-stable
     ``{"k": int}``); swap for a real JSON kernel (pyarrow/simdjson)
     when props are heterogeneous."""
-    import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(_p(sf_dir, "events"), columns=["event_type", "props"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["props"].str.extract(r'"k":\s*(-?\d+)', expand=False).astype("int64")
-        g = (
-            pd.DataFrame({"event_type": df["event_type"], "k": k})
-            .groupby("event_type", as_index=False)
-            .agg(sum_k=("k", "sum"), n_events=("k", "size"))
-        )
-        g["n_events"] = g["n_events"].astype("int64")
-        return g
+    def prepare(t: pa.Table) -> pa.Table:
+        k = pc.extract_regex(t["props"], r'"k":\s*(?P<k>-?\d+)')
+        return t.append_column("k", pc.cast(pc.struct_field(k, "k"), pa.int64()))
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("event_type")
-        .aggregate(
-            Sum("sum_k", alias_name="sum_k"),
-            Sum("n_events", alias_name="n_events"),
-        )
+    return two_phase_agg(
+        ds, "event_type", {"sum_k": ("k", "sum"), "n_events": (None, "rows")}, prepare
     )
 
 
@@ -511,28 +405,17 @@ def doc_size_ranges(sf_dir: str):
     only exchange is the 4-row count aggregate. The same recipe covers
     any banded/interval join (IP→geo, ts→calendar) at fleet scale."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(_p(sf_dir, "documents"), columns=["n_chars"])
     lows = np.array([lo for _, lo, _ in SIZE_CLASSES], dtype=np.int64)
-    names = [name for name, _, _ in SIZE_CLASSES]
+    names = pa.array([name for name, _, _ in SIZE_CLASSES], pa.string())
 
     def classify(t: pa.Table) -> pa.Table:
         n = t["n_chars"].to_numpy(zero_copy_only=False)
         idx = np.searchsorted(lows, n, side="right") - 1
-        cls, counts = np.unique(idx, return_counts=True)
-        return pa.table(
-            {
-                "size_class": pa.array([names[c] for c in cls], pa.string()),
-                "n_docs": pa.array(counts, pa.int64()),
-            }
-        )
+        return pa.table({"size_class": names.take(idx)})
 
-    return (
-        ds.map_batches(classify, batch_format="pyarrow")
-        .groupby("size_class")
-        .aggregate(Sum("n_docs", alias_name="n_docs"))
-    )
+    return two_phase_agg(ds, "size_class", {"n_docs": (None, "rows")}, classify)
 
 
 def top_docs_per_lang(sf_dir: str, k: int = 3):
@@ -704,7 +587,6 @@ def bloom_semi_join(sf_dir: str, m_bits: int = 1 << 20, n_hashes: int = 4):
     """
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     # materialized once: both the bitmap build and the exact join
     # consume the key set, and a lazy plan would re-scan orders per
@@ -762,26 +644,11 @@ def bloom_semi_join(sf_dir: str, m_bits: int = 1 << 20, n_hashes: int = 4):
         right_on=("o_orderkey",),
     )
 
-    def partial_agg(t: pa.Table) -> pa.Table:
-        t2 = pa.table(
-            {
-                "l_returnflag": t["l_returnflag"],
-                "revenue_cents": _cents(t["l_extendedprice"]),
-                "n": pa.array(np.ones(len(t), dtype=np.int64)),
-            }
-        )
-        g = t2.group_by("l_returnflag").aggregate(
-            [("revenue_cents", "sum"), ("n", "sum")]
-        )
-        return g.rename_columns(["l_returnflag", "revenue_cents", "n_rows"])
-
-    return (
-        joined.map_batches(partial_agg, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"),
-            Sum("n_rows", alias_name="n_rows"),
-        )
+    return two_phase_agg(
+        joined,
+        "l_returnflag",
+        {"revenue_cents": ("revenue_cents", "sum"), "n_rows": (None, "rows")},
+        lambda t: t.append_column("revenue_cents", _cents(t["l_extendedprice"])),
     )
 
 
@@ -870,6 +737,32 @@ def _ensure_csv_export(sf_dir: str) -> str:
     return _publish_export("/tmp/graft_csv_cache", sf_dir, write)
 
 
+def _event_id_agg(ds, cents_of):
+    """Per event_type: value cents (``cents_of(batch)``), event-id range
+    and event count — the aggregate of the source-roundtrip demos."""
+
+    def prepare(t: pa.Table) -> pa.Table:
+        return pa.table(
+            {
+                "event_type": t["event_type"],
+                "value_cents": cents_of(t),
+                "event_id": pc.cast(t["event_id"], pa.int64()),
+            }
+        )
+
+    return two_phase_agg(
+        ds,
+        "event_type",
+        {
+            "value_cents": ("value_cents", "sum"),
+            "min_event_id": ("event_id", "min"),
+            "max_event_id": ("event_id", "max"),
+            "n_events": (None, "rows"),
+        },
+        prepare,
+    )
+
+
 def events_jsonl_agg(sf_dir: str):
     """Source-format coverage: the events table is exported as JSONL
     (``Dataset.write_json``, one shard per block — the WET/WAT-style
@@ -885,41 +778,9 @@ def events_jsonl_agg(sf_dir: str):
     integer-cents aggregate is bit-identical to the parquet oracle.
     """
     import ray.data
-    from ray.data.aggregate import Max, Min, Sum
 
     ds = ray.data.read_json(_ensure_jsonl_export(sf_dir))
-
-    def partial(t: pa.Table) -> pa.Table:
-        t2 = pa.table(
-            {
-                "event_type": t["event_type"],
-                "value_cents": _cents(t["value"]),
-                "event_id": pc.cast(t["event_id"], pa.int64()),
-                "n": pa.array(np.ones(len(t), dtype=np.int64)),
-            }
-        )
-        g = t2.group_by("event_type").aggregate(
-            [
-                ("value_cents", "sum"),
-                ("event_id", "min"),
-                ("event_id", "max"),
-                ("n", "sum"),
-            ]
-        )
-        return g.rename_columns(
-            ["event_type", "value_cents", "min_event_id", "max_event_id", "n_events"]
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("value_cents", alias_name="value_cents"),
-            Min("min_event_id", alias_name="min_event_id"),
-            Max("max_event_id", alias_name="max_event_id"),
-            Sum("n_events", alias_name="n_events"),
-        )
-    )
+    return _event_id_agg(ds, lambda t: _cents(t["value"]))
 
 
 def events_lag_delta(sf_dir: str):
@@ -1135,40 +996,9 @@ def events_csv_agg(sf_dir: str):
     bit-identical to the parquet oracle. Cached under /tmp keyed by the
     source dir."""
     import ray.data
-    from ray.data.aggregate import Max, Min, Sum
 
     ds = ray.data.read_csv(_ensure_csv_export(sf_dir))
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table(
-            {
-                "event_type": t["event_type"],
-                "value_cents": pc.cast(t["value_cents"], pa.int64()),
-                "event_id": pc.cast(t["event_id"], pa.int64()),
-                "n": pa.array(np.ones(len(t), dtype=np.int64)),
-            }
-        ).group_by("event_type").aggregate(
-            [
-                ("value_cents", "sum"),
-                ("event_id", "min"),
-                ("event_id", "max"),
-                ("n", "sum"),
-            ]
-        )
-        return g.rename_columns(
-            ["event_type", "value_cents", "min_event_id", "max_event_id", "n_events"]
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("value_cents", alias_name="value_cents"),
-            Min("min_event_id", alias_name="min_event_id"),
-            Max("max_event_id", alias_name="max_event_id"),
-            Sum("n_events", alias_name="n_events"),
-        )
-    )
+    return _event_id_agg(ds, lambda t: pc.cast(t["value_cents"], pa.int64()))
 
 
 def events_rolling_sum(sf_dir: str, window: int = 3):
@@ -1220,7 +1050,6 @@ def events_federated_agg(sf_dir: str):
     normalized per arm BEFORE the union so the shuffled schema is
     identical regardless of source."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     jsonl_dir = _ensure_jsonl_export(sf_dir)
     csv_dir = _ensure_csv_export(sf_dir)
@@ -1246,26 +1075,7 @@ def events_federated_agg(sf_dir: str):
         batch_format="pyarrow",
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table(
-            {
-                "event_type": t["event_type"],
-                "value_cents": t["value_cents"],
-                "n": pa.array(np.ones(len(t), dtype=np.int64)),
-            }
-        ).group_by("event_type").aggregate([("value_cents", "sum"), ("n", "sum")])
-        return g.rename_columns(["event_type", "value_cents", "n_events"])
-
-    return (
-        pq_arm.union(js_arm)
-        .union(csv_arm)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum("value_cents", alias_name="value_cents"),
-            Sum("n_events", alias_name="n_events"),
-        )
-    )
+    return two_phase_agg(pq_arm.union(js_arm).union(csv_arm), "event_type", EVENT_AGGS)
 
 
 def high_value_orders(sf_dir: str):
@@ -1274,32 +1084,16 @@ def high_value_orders(sf_dir: str):
     path), demonstrated as a filter -> partial-agg -> tiny groupby
     plan: open high-value orders per priority."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         _p(sf_dir, "orders"),
         columns=["o_orderpriority", "o_orderstatus", "o_totalprice"],
     ).filter(expr="o_totalprice > 300000 and o_orderstatus == 'O'")
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = pa.table(
-            {
-                "o_orderpriority": t["o_orderpriority"],
-                "revenue_cents": _cents(t["o_totalprice"]),
-                "n": pa.array(np.ones(len(t), dtype=np.int64)),
-            }
-        ).group_by("o_orderpriority").aggregate(
-            [("revenue_cents", "sum"), ("n", "sum")]
-        )
-        return g.rename_columns(["o_orderpriority", "revenue_cents", "n_orders"])
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("o_orderpriority")
-        .aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"),
-            Sum("n_orders", alias_name="n_orders"),
-        )
+    return two_phase_agg(
+        ds,
+        "o_orderpriority",
+        REVENUE_AGGS,
+        lambda t: t.append_column("revenue_cents", _cents(t["o_totalprice"])),
     )
 
 
@@ -1308,56 +1102,28 @@ def doc_rollup(sf_dir: str):
     sums at (lang, source), (lang) and grand-total levels, with ''
     as the rolled-up marker (what the SQL oracle COALESCEs NULL to).
 
-    One corpus scan: the in-batch partial collapses to the FINEST
-    level, and the two coarser levels are derived from those partial
-    rows inside the same batch (3 level-tagged rows per (batch, lang,
-    source) ride the one exchange — never the corpus, and never three
-    scans)."""
+    One corpus scan: each batch fans out to its three levels (the
+    rolled-up key columns blanked) and the in-batch fold collapses
+    them, so at most one partial row per (batch, level key) rides the
+    one exchange — never the corpus, and never three scans."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         _p(sf_dir, "documents"), columns=["lang", "source", "n_chars"]
     )
 
-    def partial(t: pa.Table) -> pa.Table:
-        fine = (
-            pa.table(
-                {
-                    "lang": t["lang"],
-                    "source": t["source"],
-                    "n_docs": pa.array(np.ones(len(t), dtype=np.int64)),
-                    "sum_chars": pc.cast(t["n_chars"], pa.int64()),
-                }
-            )
-            .group_by(["lang", "source"])
-            .aggregate([("n_docs", "sum"), ("sum_chars", "sum")])
-            .rename_columns(["lang", "source", "n_docs", "sum_chars"])
+    def levels(t: pa.Table) -> pa.Table:
+        lang, src, blank = t["lang"], t["source"], pa.array([""] * len(t), pa.string())
+        return pa.concat_tables(
+            pa.table({"lang": k1, "source": k2, "n_chars": t["n_chars"]})
+            for k1, k2 in ((lang, src), (lang, blank), (blank, blank))
         )
-        df = fine.to_pandas()
-        mid = df.groupby("lang", as_index=False)[["n_docs", "sum_chars"]].sum()
-        mid["source"] = ""
-        top = pd.DataFrame(
-            {
-                "lang": [""],
-                "source": [""],
-                "n_docs": [df["n_docs"].sum()],
-                "sum_chars": [df["sum_chars"].sum()],
-            }
-        )
-        out = pd.concat(
-            [df, mid[["lang", "source", "n_docs", "sum_chars"]], top],
-            ignore_index=True,
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["lang", "source"])
-        .aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Sum("sum_chars", alias_name="sum_chars"),
-        )
+    return two_phase_agg(
+        ds,
+        ["lang", "source"],
+        {"n_docs": (None, "rows"), "sum_chars": ("n_chars", "sum")},
+        levels,
     )
 
 
@@ -1800,6 +1566,8 @@ def doc_global_rank(sf_dir: str, width: int = 16):
     return ranged.groupby("rng").map_groups(rank_range, batch_format="pandas")
 
 
+# the least offset of the added docs' ids; above 1M base docs it grows
+# past the largest base id so an added id never reuses a real one
 SNAPSHOT_ADD_OFFSET = 1_000_000
 
 
@@ -1810,8 +1578,8 @@ def snapshot_diff(sf_dir: str, n_buckets: int = 64):
     Snapshot B is synthesized deterministically from the base so the
     oracle can restate the classification: doc_id % 13 == 0 rows are
     dropped (removed), % 17 == 0 survivors get edited text (changed),
-    and % 19 == 0 rows spawn a brand-new doc at
-    doc_id + SNAPSHOT_ADD_OFFSET (added).
+    and % 19 == 0 rows spawn a brand-new doc at doc_id + offset (added),
+    offset = max(SNAPSHOT_ADD_OFFSET, max(doc_id) + 1).
 
     Shape: both sides fold to (bucket, doc_id, side, text_hash) rows
     — the text itself never crosses the exchange — then ONE
@@ -1825,6 +1593,10 @@ def snapshot_diff(sf_dir: str, n_buckets: int = 64):
     ds = ray.data.read_parquet(
         _p(sf_dir, "documents"), columns=["doc_id", "text"]
     )
+    max_id = ray.data.read_parquet(_p(sf_dir, "documents"), columns=["doc_id"]).max(
+        "doc_id"
+    )
+    offset = max(SNAPSHOT_ADD_OFFSET, (max_id or 0) + 1)
 
     def hash_col(ids, texts):
         return np.fromiter(
@@ -1854,7 +1626,7 @@ def snapshot_diff(sf_dir: str, n_buckets: int = 64):
         hashes.append(h_b[keep])
         new = ids % 19 == 0
         if new.any():
-            new_ids = ids[new] + SNAPSHOT_ADD_OFFSET
+            new_ids = ids[new] + offset
             keys.append(new_ids)
             sides.append(np.ones(len(new_ids), np.int64))
             hashes.append(

@@ -34,6 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .agg import two_phase_agg
 from .dedup import _mod_bucket
 from .extract_pipeline import actor_pool
 from .textstats import TOKEN_RE, documents_path
@@ -148,39 +149,28 @@ def domain_stats(sf_dir: str):
     """Parse the domain out of each page URL (vectorized Arrow string
     split) and aggregate per domain — partial agg inside the batch, so
     only one row per (batch, domain) rides the shuffle."""
-    import ray.data
-    from ray.data.aggregate import Max, Min, Sum
-
     from ..sources.synth import read_pages
 
     ds = read_pages(sf_dir, columns=["url"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def prepare(t: pa.Table) -> pa.Table:
         parts = pc.split_pattern(t["url"], "/")
-        dom = pc.list_element(parts, 2)
-        ids = pc.cast(pc.list_element(parts, 4), pa.int64())
-        g = (
-            pa.table(
-                {
-                    "domain": dom,
-                    "n_docs": pa.array(np.ones(len(t), dtype=np.int64)),
-                    "min_doc": ids,
-                    "max_doc": ids,
-                }
-            )
-            .group_by("domain")
-            .aggregate([("n_docs", "sum"), ("min_doc", "min"), ("max_doc", "max")])
+        return pa.table(
+            {
+                "domain": pc.list_element(parts, 2),
+                "doc": pc.cast(pc.list_element(parts, 4), pa.int64()),
+            }
         )
-        return g.rename_columns(["domain", "n_docs", "min_doc", "max_doc"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("domain")
-        .aggregate(
-            Sum("n_docs", alias_name="n_docs"),
-            Min("min_doc", alias_name="min_doc"),
-            Max("max_doc", alias_name="max_doc"),
-        )
+    return two_phase_agg(
+        ds,
+        "domain",
+        {
+            "n_docs": (None, "rows"),
+            "min_doc": ("doc", "min"),
+            "max_doc": ("doc", "max"),
+        },
+        prepare,
     )
 
 

@@ -257,6 +257,90 @@ def test_staged_job_matches_unstaged(ray_session, pages_path, tmp_path):
     assert ray.data.read_parquet(out_dir).count() == 500
 
 
+def test_giant_cap_above_default_reaches_the_main_lane(ray_session, tmp_path):
+    """A payload between the default 64 MiB cap and a larger ``giant_cap``
+    is extracted by the main lane, not turned into a ``giant:`` row."""
+    import ray.data
+
+    from pdf_parser_ray.pipelines.extract_pipeline import run_extract_job
+    from pdf_parser_ray.stages.extract import GIANT_ROW_BYTES
+
+    pages = str(tmp_path / "pages.parquet")
+    payload = b"%PDF-" + b"\0" * (GIANT_ROW_BYTES + 12)
+    pq.write_table(
+        pa.table(
+            {
+                "url": ["https://x.example/p/1"],
+                "warc_ts": pa.array([0], pa.int64()).cast(pa.timestamp("us")),
+                "html": pa.array([payload], pa.binary()),
+                "lang": ["en"],
+            }
+        ),
+        pages,
+    )
+    out_dir = str(tmp_path / "job")
+    results = run_extract_job(
+        pages,
+        out_dir,
+        num_units=1,
+        num_partitions=4,
+        concurrency=1,
+        giant_cap=GIANT_ROW_BYTES + 2**20,
+    )
+    assert [(r["unit_id"], r["rows"]) for r in results] == [(0, 1), (1, 0)]
+    (row,) = ray.data.read_parquet(out_dir, columns=["nbytes", "error"]).take_all()
+    assert row["nbytes"] == GIANT_ROW_BYTES + 17
+    assert not row["error"].startswith("giant:")
+
+
+def test_staged_giant_lane_reads_the_staged_layout(ray_session, pages_path, tmp_path):
+    """Staging puts rows over ``giant_cap`` in the giant-lane unit, which
+    then reads only that directory; output and per-unit counts, empty
+    units included, equal the filter-scan path's, and a layout staged
+    for another cap is refused."""
+    import ray.data
+
+    from pdf_parser_ray.pipelines.extract_pipeline import run_extract_job, stage_pages
+
+    cols = ["url", "ok", "error", "text"]
+    runs = {}
+    for mode, staging in (("scan", ""), ("staged", str(tmp_path / "staging"))):
+        out_dir = str(tmp_path / mode)
+        # 4 units over 2 partitions: units 0 and 2 get no partition
+        results = run_extract_job(
+            pages_path,
+            out_dir,
+            num_units=4,
+            num_partitions=2,
+            concurrency=2,
+            giant_cap=1500,
+            staging_dir=staging,
+        )
+        rows = ray.data.read_parquet(out_dir, columns=cols).to_pandas()
+        runs[mode] = (
+            [(r["unit_id"], r["rows"]) for r in results],
+            set(rows.itertuples(index=False, name=None)),
+        )
+    assert runs["staged"] == runs["scan"]
+    assert [u for u, n in runs["scan"][0] if n == 0] == [0, 2]
+    assert len(runs["scan"][1]) == 500
+
+    giant = ray.data.read_parquet(
+        str(tmp_path / "staging" / "unit_id=4"), columns=["url", "nbytes"]
+    ).to_pandas()
+    pages = pq.read_table(pages_path, columns=["url", "html"]).to_pandas()
+    big = {u for u, h in zip(pages["url"], pages["html"]) if len(h or b"") > 1500}
+    assert big and set(giant["url"]) == big and (giant["nbytes"] > 1500).all()
+    with pytest.raises(ValueError, match="staging dir"):
+        stage_pages(
+            pages_path,
+            str(tmp_path / "staging"),
+            num_partitions=2,
+            num_units=4,
+            giant_cap=3000,
+        )
+
+
 def test_cli_run_extract_and_manifest(ray_session, tmp_path, capsys):
     """The `ray job submit` entrypoint end to end: synth -> run-extract
     -> manifest, all through cli.main (Ray already initialised, as on a

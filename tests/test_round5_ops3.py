@@ -232,6 +232,20 @@ def test_snapshot_diff_classes_on_testdata(ray_session):
     assert len(got) == len(want_removed) + len(want_changed) + len(want_added)
 
 
+def test_snapshot_diff_added_ids_skip_real_ids(ray_session, tmp_path):
+    # ids past 1M: doc 19's offspring at 19 + 1_000_000 would reuse the
+    # id of a real doc, so the offset must grow past the largest id
+    ids = list(range(0, 60)) + list(range(1_000_000, 1_000_501))
+    _write_docs(tmp_path, [(i, f"d{i}") for i in ids])
+    got = relational.snapshot_diff(str(tmp_path)).to_pandas()
+    by = got.groupby("change")["doc_id"].apply(set).to_dict()
+    arr = np.array(ids)
+    assert by["added"] == set(arr[arr % 19 == 0] + 1_000_501)
+    assert not by["added"] & set(ids)
+    assert by["removed"] == set(arr[arr % 13 == 0])
+    assert by["changed"] == set(arr[(arr % 13 != 0) & (arr % 17 == 0)])
+
+
 # -- image_resize_thumbs -----------------------------------------------------
 
 
