@@ -2,8 +2,23 @@
 
 Absent from the reference (a PDF-only parser); designed fresh here as
 the HTML arm of the extraction engine. No external parser libraries —
-a small, deterministic tag scanner with explicit rules so extracted
-text is byte-reproducible:
+one small, deterministic tag scanner, ``_markup``, with explicit rules
+so extracted text is byte-reproducible. It turns a payload into events,
+one per ``<``: the text run before it, then the tag it opens. Its rules:
+
+- a tag is ``<name ...>`` or ``</name ...>`` up to the first ``>``;
+  names are ASCII ``[a-zA-Z][a-zA-Z0-9-]*`` and are lowercased
+- comments (<!-- -->), CDATA, doctype (<! >) and processing
+  instructions (<? >) are skipped; an unterminated one drops the rest
+  of the document, as does a tag with no closing ``>``
+- raw-text elements (script, style, textarea, title) skip their
+  content up to the matching close tag, with no nesting
+- a ``<`` that opens no tag ("a < b", "</ 3>") is literal text
+- whitespace-only text runs are dropped; other runs are kept verbatim
+
+Three consumers read the events, each with its own rules:
+
+``extract_html_text`` (rule-based strip):
 
 - suppressed containers (content dropped entirely): script, style,
   noscript, template, head, title, nav, footer, aside, iframe, svg,
@@ -14,11 +29,13 @@ text is byte-reproducible:
 - container blocks (div, article, section, main, ul, ol, table, tr,
   header, body, ...) flush any pending inline text as a line
 - <br> flushes the current line
-- whitespace-only text nodes are dropped; other text nodes are kept
-  verbatim (entities decoded via html.unescape)
+- text runs are entity-decoded via html.unescape
 - output = lines joined with "\\n", encoded UTF-8
 
-Comments (<!-- -->), doctype and CDATA are skipped. Unclosed tags
+``extract_main_content`` keeps the same suppression and line rules,
+tracks the open containers and the text inside <a>, and returns the
+container with the best link-density score. ``extract_outlinks`` reads
+the attributes of every <a> tag, suppressed or not. Unclosed tags
 degrade gracefully (suppression depth never goes negative).
 """
 
@@ -27,71 +44,36 @@ from __future__ import annotations
 import html as _htmlmod
 import re
 
-_SUPPRESS = {
-    "script",
-    "style",
-    "noscript",
-    "template",
-    "head",
-    "title",
-    "nav",
-    "footer",
-    "aside",
-    "iframe",
-    "svg",
-    "form",
-    "button",
-    "select",
-    "option",
-}
+_SUPPRESS = frozenset(
+    b"script style noscript template head title nav footer aside iframe svg"
+    b" form button select option".split()
+)
+_LINE_BLOCKS = frozenset(
+    b"p h1 h2 h3 h4 h5 h6 li pre blockquote th td caption dt dd figcaption"
+    b" summary".split()
+)
+_CONTAINER_BLOCKS = frozenset(
+    b"div article section main header body html ul ol dl table thead tbody"
+    b" tfoot tr figure details hr address fieldset".split()
+)
 
-_LINE_BLOCKS = {
-    "p",
-    "h1",
-    "h2",
-    "h3",
-    "h4",
-    "h5",
-    "h6",
-    "li",
-    "pre",
-    "blockquote",
-    "th",
-    "td",
-    "caption",
-    "dt",
-    "dd",
-    "figcaption",
-    "summary",
-}
-
-_CONTAINER_BLOCKS = {
-    "div",
-    "article",
-    "section",
-    "main",
-    "header",
-    "body",
-    "html",
-    "ul",
-    "ol",
-    "dl",
-    "table",
-    "thead",
-    "tbody",
-    "tfoot",
-    "tr",
-    "figure",
-    "details",
-    "hr",
-    "address",
-    "fieldset",
-}
-
+# the common event: the text run before a "<" (None when empty or
+# whitespace-only) and the tag it opens; possessive, so a ">"-less tail
+# costs one linear pass
+_EVENT_RE = re.compile(
+    rb"(?:\s*+(?=<)|([^<]*+))<(/?)([a-zA-Z][a-zA-Z0-9-]*+)([^>]*+)>"
+)
+# comment, CDATA, doctype or processing instruction; unterminated runs to the end
+_SKIP_RE = re.compile(
+    rb"<!--(?:.*?-->|.*)|<!\[CDATA\[(?:.*?]]>|.*)|<[!?](?:[^>]*+>|.*)", re.DOTALL
+)
 # raw-text elements: content runs to the matching close tag, no nesting
-_RAWTEXT = {"script", "style", "textarea", "title"}
+_RAWTEXT_CLOSE = {
+    name: re.compile(rb"</" + name + rb"\s*>", re.IGNORECASE)
+    for name in (b"script", b"style", b"textarea", b"title")
+}
 
-_TAG_NAME_RE = re.compile(rb"[a-zA-Z][a-zA-Z0-9-]*")
+_unescape = _htmlmod.unescape
 
 
 def _decode_bytes(buf: bytes) -> str:
@@ -99,6 +81,62 @@ def _decode_bytes(buf: bytes) -> str:
         return buf.decode("utf-8")
     except UnicodeDecodeError:
         return buf.decode("latin-1")
+
+
+def _markup(buf: bytes):
+    """Scan ``buf`` into ``(text, closing, name, rest)`` events, at most
+    one per ``<`` plus one for the trailing text (rules: module
+    docstring).
+
+    ``text`` is the run before this ``<`` (None when empty or
+    whitespace-only). For a tag, ``closing`` is ``b"/"`` or ``b""``,
+    ``name`` the lowercased name and ``rest`` the tag body after it.
+    Otherwise ``name`` is None and ``rest`` the markup taken as literal
+    text (``b""`` for none: skipped markup, a raw-text element, the end)."""
+    find = buf.find
+    match_event = _EVENT_RE.match
+    n = len(buf)
+    i = 0
+    while True:
+        m = match_event(buf, i)
+        if m is not None:
+            text, closing, name, rest = m.groups()
+            name = name.lower()
+            i = m.end()
+            if closing or name not in _RAWTEXT_CLOSE:
+                yield text, closing, name, rest
+                continue
+            close = _RAWTEXT_CLOSE[name].search(buf, i)
+            i = n if close is None else close.end()
+            if text:
+                yield text, b"", None, b""
+            continue
+        # the "<" ending this text run opens no common tag, or is missing
+        lt = find(b"<", i)
+        text = buf[i:] if lt == -1 else buf[i:lt]
+        if not text.strip():
+            text = None
+        literal = b""
+        if lt == -1:
+            i = n
+        else:
+            c = buf[lt + 1 : lt + 2]
+            if c == b"!" or c == b"?":
+                i = _SKIP_RE.match(buf, lt).end()
+            elif c == b"/" or c.isalpha():
+                gt = find(b">", lt + 1)
+                if gt == -1:  # truncated tag: drop the tail
+                    i = n
+                else:  # "</ 3>": no tag name, literal text
+                    i = gt + 1
+                    literal = buf[lt:i]
+            else:  # "a < b"
+                i = lt + 1
+                literal = b"<"
+        if text or literal:
+            yield text, b"", None, literal
+        if i == n:
+            return
 
 
 def extract_html_text(buf: bytes) -> tuple[bytes, list[dict]]:
@@ -111,93 +149,35 @@ def extract_html_text(buf: bytes) -> tuple[bytes, list[dict]]:
     cur: list[str] = []
     suppress_depth = 0
 
-    def flush(force: bool) -> None:
+    def flush(force) -> None:
         text = "".join(cur)
         cur.clear()
         if text or force:
             lines.append(text)
 
-    i = 0
-    n = len(buf)
-    while i < n:
-        lt = buf.find(b"<", i)
-        if lt == -1:
-            if suppress_depth == 0:
-                chunk = buf[i:n]
-                if chunk.strip():
-                    cur.append(_htmlmod.unescape(_decode_bytes(chunk)))
-            break
-        if lt > i and suppress_depth == 0:
-            chunk = buf[i:lt]
-            if chunk.strip():
-                cur.append(_htmlmod.unescape(_decode_bytes(chunk)))
-        i = lt
-        nxt = buf[lt + 1 : lt + 2]
-        if not (nxt.isalpha() or nxt in (b"/", b"!", b"?")):
-            # "a < b": a "<" not opening a tag is literal text
-            if suppress_depth == 0:
-                cur.append("<")
-            i = lt + 1
+    for text, closing, name, rest in _markup(buf):
+        if suppress_depth == 0:
+            if text:
+                cur.append(_unescape(_decode_bytes(text)))
+            if name is None:
+                if rest:
+                    cur.append(_unescape(_decode_bytes(rest)))
+                continue
+        elif name is None:
             continue
-        # comment / doctype / cdata
-        if buf.startswith(b"<!--", i):
-            end = buf.find(b"-->", i + 4)
-            i = n if end == -1 else end + 3
-            continue
-        if buf.startswith(b"<![CDATA[", i):
-            end = buf.find(b"]]>", i + 9)
-            i = n if end == -1 else end + 3
-            continue
-        if buf.startswith(b"<!", i) or buf.startswith(b"<?", i):
-            end = buf.find(b">", i + 2)
-            i = n if end == -1 else end + 1
-            continue
-        gt = buf.find(b">", i + 1)
-        if gt == -1:
-            break  # truncated tag: drop the tail
-        tag_body = buf[i + 1 : gt]
-        i = gt + 1
-        closing = tag_body.startswith(b"/")
-        if closing:
-            tag_body = tag_body[1:]
-        m = _TAG_NAME_RE.match(tag_body)
-        if m is None:
-            # stray "<" followed by non-tag (e.g. "a < b"): treat as text
-            if suppress_depth == 0:
-                cur.append(_htmlmod.unescape(_decode_bytes(buf[lt : gt + 1])))
-            continue
-        name = m.group(0).decode("ascii").lower()
-        self_closing = tag_body.rstrip().endswith(b"/")
-
-        if not closing and name in _RAWTEXT:
-            close = re.compile(
-                rb"</" + name.encode() + rb"\s*>", re.IGNORECASE
-            ).search(buf, i)
-            # rawtext content is dropped unless the element is contentful
-            # (textarea/title are suppressed anyway)
-            i = n if close is None else close.end()
-            continue
-
         if name in _SUPPRESS:
             if closing:
                 suppress_depth = max(0, suppress_depth - 1)
-            elif not self_closing:
+            elif not rest.rstrip().endswith(b"/"):
                 suppress_depth += 1
+        elif suppress_depth > 0:
             continue
-        if suppress_depth > 0:
-            continue
-        if name == "br":
-            flush(force=True) if cur else lines.append("")
-            continue
-        if name in _LINE_BLOCKS:
-            if closing:
-                flush(force=True)  # empty line block -> empty line
-            else:
-                flush(force=False)
-            continue
-        if name in _CONTAINER_BLOCKS:
+        elif name in _LINE_BLOCKS:
+            flush(force=closing)  # empty line block -> empty line
+        elif name == b"br":
+            flush(force=True)
+        elif name in _CONTAINER_BLOCKS:
             flush(force=False)
-            continue
         # inline tag (a, span, b, i, em, strong, ...): no line effect
 
     flush(force=False)
@@ -213,7 +193,7 @@ def extract_html_text(buf: bytes) -> tuple[bytes, list[dict]]:
     return data, spans
 
 
-_CANDIDATE_CONTAINERS = {"article", "main", "section", "div", "body", "td"}
+_CANDIDATE_CONTAINERS = frozenset(b"article main section div body td".split())
 
 
 def extract_main_content(buf: bytes) -> bytes:
@@ -224,116 +204,64 @@ def extract_main_content(buf: bytes) -> bytes:
     Complements ``extract_html_text`` (rule-based strip): on pages whose
     boilerplate is NOT in suppressible tags (e.g. sidebars made of
     plain link-stuffed <div>s), density scoring still finds the
-    article. Same line semantics as the rule-based path.
+    article. Same line semantics as the rule-based path; text inside
+    <a> counts as link text, literal "<" markup does not.
     """
     lines: list[tuple[str, tuple[int, ...], int]] = []  # (text, path, link_chars)
     cur: list[str] = []
     cur_link = 0
     suppress_depth = 0
     link_depth = 0
-    stack: list[tuple[str, int]] = []  # (tag, node id)
-    node_tags: dict[int, str] = {}
+    stack: list[tuple[bytes, int]] = []  # (tag, node id)
+    node_tags: dict[int, bytes] = {}
     next_id = 1
 
-    def path() -> tuple[int, ...]:
-        return tuple(nid for _, nid in stack)
-
-    def flush(force: bool) -> None:
+    def flush(force) -> None:
         nonlocal cur_link
         text = "".join(cur)
         cur.clear()
         link = cur_link
         cur_link = 0
         if text or force:
-            lines.append((text, path(), link))
+            lines.append((text, tuple(nid for _, nid in stack), link))
 
-    def add_text(chunk: bytes) -> None:
-        nonlocal cur_link
-        s = _htmlmod.unescape(_decode_bytes(chunk))
-        cur.append(s)
-        if link_depth > 0:
-            cur_link += len(s)
-
-    i = 0
-    n = len(buf)
-    while i < n:
-        lt = buf.find(b"<", i)
-        if lt == -1:
-            if suppress_depth == 0 and buf[i:n].strip():
-                add_text(buf[i:n])
-            break
-        if lt > i and suppress_depth == 0 and buf[i:lt].strip():
-            add_text(buf[i:lt])
-        i = lt
-        nxt = buf[lt + 1 : lt + 2]
-        if not (nxt.isalpha() or nxt in (b"/", b"!", b"?")):
-            if suppress_depth == 0:
-                cur.append("<")
-            i = lt + 1
-            continue
-        if buf.startswith(b"<!--", i):
-            end = buf.find(b"-->", i + 4)
-            i = n if end == -1 else end + 3
-            continue
-        if buf.startswith(b"<![CDATA[", i):
-            end = buf.find(b"]]>", i + 9)
-            i = n if end == -1 else end + 3
-            continue
-        if buf.startswith(b"<!", i) or buf.startswith(b"<?", i):
-            end = buf.find(b">", i + 2)
-            i = n if end == -1 else end + 1
-            continue
-        gt = buf.find(b">", i + 1)
-        if gt == -1:
-            break
-        tag_body = buf[i + 1 : gt]
-        i = gt + 1
-        closing = tag_body.startswith(b"/")
-        if closing:
-            tag_body = tag_body[1:]
-        m = _TAG_NAME_RE.match(tag_body)
-        if m is None:
-            if suppress_depth == 0:
-                cur.append(_htmlmod.unescape(_decode_bytes(buf[lt : gt + 1])))
-            continue
-        name = m.group(0).decode("ascii").lower()
-        self_closing = tag_body.rstrip().endswith(b"/")
-
-        if not closing and name in _RAWTEXT:
-            close = re.compile(
-                rb"</" + name.encode() + rb"\s*>", re.IGNORECASE
-            ).search(buf, i)
-            i = n if close is None else close.end()
+    for text, closing, name, rest in _markup(buf):
+        if suppress_depth == 0:
+            if text:
+                s = _unescape(_decode_bytes(text))
+                cur.append(s)
+                if link_depth > 0:
+                    cur_link += len(s)
+            if name is None:
+                if rest:
+                    cur.append(_unescape(_decode_bytes(rest)))
+                continue
+        elif name is None:
             continue
         if name in _SUPPRESS:
             if closing:
                 suppress_depth = max(0, suppress_depth - 1)
-            elif not self_closing:
+            elif not rest.rstrip().endswith(b"/"):
                 suppress_depth += 1
+        elif suppress_depth > 0:
             continue
-        if suppress_depth > 0:
-            continue
-        if name == "a":
+        elif name == b"a":
             link_depth = max(0, link_depth - 1) if closing else link_depth + 1
-            continue
-        if name == "br":
+        elif name == b"br":
             flush(force=bool(cur))
-            continue
-        if name in _LINE_BLOCKS:
+        elif name in _LINE_BLOCKS:
             flush(force=closing)
-            continue
-        if name in _CANDIDATE_CONTAINERS or name in _CONTAINER_BLOCKS:
+        elif name in _CANDIDATE_CONTAINERS or name in _CONTAINER_BLOCKS:
             flush(force=False)
             if closing:
                 while stack and stack[-1][0] != name:
                     stack.pop()
                 if stack:
                     stack.pop()
-            elif not self_closing:
+            elif not rest.rstrip().endswith(b"/"):
                 stack.append((name, next_id))
                 node_tags[next_id] = name
                 next_id += 1
-            continue
         # inline tags: no structural effect
 
     flush(force=False)
@@ -360,69 +288,32 @@ def extract_main_content(buf: bytes) -> bytes:
     return "\n".join(selected).encode("utf-8")
 
 
-_HREF_RE = re.compile(
-    rb"(?:^|\s)href\s*=\s*(?:\"([^\"]*)\"|'([^']*)'|([^\s>]+))",
-    re.IGNORECASE,
-)
+# one attribute of a tag body: a name, an optional "= value" (double-quoted,
+# single-quoted or bare; a quote left open is part of a bare value) and
+# whatever sticks to it up to the next whitespace
+_ATTR_RE = re.compile(rb"""\s*([^\s=]*)(?:\s*=\s*(?:"([^"]*)"|'([^']*)'|(\S+)))?\S*""")
 
 
 def extract_outlinks(buf: bytes) -> list[str]:
     """All <a href=...> targets in document order — the link-graph
     extraction step of a crawl pipeline. Shares the text extractor's
-    scan rules: comments / CDATA / doctype are skipped, rawtext
-    elements (script, style, textarea, title) hide their contents, and
-    double-quoted / single-quoted / unquoted attribute forms are all
-    accepted. Values are entity-decoded (href="a&amp;b" -> "a&b").
-    Unlike text extraction, suppressed containers do NOT hide links —
-    nav/footer links are real outlinks to a crawler."""
+    scanner: comments / CDATA / doctype are skipped and rawtext
+    elements (script, style, textarea, title) hide their contents.
+    Attributes are read left to right, so ``href=`` inside another
+    attribute's value is not an href; the first ``href`` (any case)
+    with a double-quoted, single-quoted or unquoted value wins. Values
+    are entity-decoded (href="a&amp;b" -> "a&b"). Unlike text
+    extraction, suppressed containers do NOT hide links — nav/footer
+    links are real outlinks to a crawler."""
     out: list[str] = []
-    i = 0
-    n = len(buf)
-    while i < n:
-        lt = buf.find(b"<", i)
-        if lt == -1:
-            break
-        nxt = buf[lt + 1 : lt + 2]
-        if not (nxt.isalpha() or nxt in (b"/", b"!", b"?")):
-            i = lt + 1
+    for _, closing, name, rest in _markup(buf):
+        if name != b"a" or closing:
             continue
-        if buf.startswith(b"<!--", lt):
-            end = buf.find(b"-->", lt + 4)
-            i = n if end == -1 else end + 3
-            continue
-        if buf.startswith(b"<![CDATA[", lt):
-            end = buf.find(b"]]>", lt + 9)
-            i = n if end == -1 else end + 3
-            continue
-        if buf.startswith(b"<!", lt) or buf.startswith(b"<?", lt):
-            end = buf.find(b">", lt + 2)
-            i = n if end == -1 else end + 1
-            continue
-        gt = buf.find(b">", lt + 1)
-        if gt == -1:
-            break
-        tag_body = buf[lt + 1 : gt]
-        i = gt + 1
-        closing = tag_body.startswith(b"/")
-        if closing:
-            tag_body = tag_body[1:]
-        m = _TAG_NAME_RE.match(tag_body)
-        if m is None:
-            continue
-        name = m.group(0).decode("ascii").lower()
-        if not closing and name in _RAWTEXT:
-            close = re.compile(
-                rb"</" + name.encode() + rb"\s*>", re.IGNORECASE
-            ).search(buf, i)
-            i = n if close is None else close.end()
-            continue
-        if closing or name != "a":
-            continue
-        hm = _HREF_RE.search(tag_body[m.end() :])
-        if hm is None:
-            continue
-        raw = next(g for g in hm.groups() if g is not None)
-        out.append(_htmlmod.unescape(_decode_bytes(raw)))
+        for m in _ATTR_RE.finditer(rest):
+            # lastindex > 1: a value group matched
+            if m.lastindex > 1 and m[1].lower() == b"href":
+                out.append(_unescape(_decode_bytes(m[m.lastindex])))
+                break
     return out
 
 
@@ -446,4 +337,4 @@ def detect_charset(buf: bytes) -> str:
         buf.decode("utf-8")
     except UnicodeDecodeError:
         return "latin-1"
-    return "ascii" if all(b < 0x80 for b in buf) else "utf-8"
+    return "ascii" if buf.isascii() else "utf-8"

@@ -883,30 +883,24 @@ def customers_no_orders(sf_dir: str):
 
 def lang_source_pivot(sf_dir: str):
     """PIVOT (wide aggregate): per source, one doc-count column per
-    language. In-batch partial crosstab -> one tiny groupby; the column
-    set is the small KNOWN language domain, so the pivot has a fixed
-    schema (data-dependent pivots need a domain-discovery pass first)."""
+    language. Each batch gets one 0/1 column per language, summed per
+    source in two phases; the column set is the small KNOWN language
+    domain, so the pivot has a fixed schema (data-dependent pivots need
+    a domain-discovery pass first)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     langs = ("en", "de", "fr", "es", "zh")
     ds = ray.data.read_parquet(_p(sf_dir, "documents"), columns=["lang", "source"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["source", "lang"]).size().unstack(fill_value=0)
-        out = {"source": g.index.to_list()}
+    def one_hot(t: pa.Table) -> pa.Table:
+        cols = {"source": t["source"]}
         for l in langs:
-            out[f"n_{l}"] = (
-                g[l].to_numpy("int64")
-                if l in g.columns
-                else np.zeros(len(g), "int64")
-            )
-        return pd.DataFrame(out)
+            hit = pc.fill_null(pc.equal(t["lang"], l), False)
+            cols[f"n_{l}"] = pc.cast(hit, pa.int64())
+        return pa.table(cols)
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .groupby("source")
-        .aggregate(*[Sum(f"n_{l}", alias_name=f"n_{l}") for l in langs])
+    return two_phase_agg(
+        ds, "source", {f"n_{l}": (f"n_{l}", "sum") for l in langs}, one_hot
     )
 
 

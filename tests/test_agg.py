@@ -140,6 +140,7 @@ QUERY_SCHEMAS = {
         ("n_orders", I),
     ],
     "doc_rollup": [("lang", S), ("source", S), ("n_docs", I), ("sum_chars", I)],
+    "lang_source_pivot": [("source", S)] + [(f"n_{l}", I) for l in "en de fr es zh".split()],
     "domain_stats": [("domain", S), ("n_docs", I), ("min_doc", I), ("max_doc", I)],
     "partition_metrics": [
         ("partition_id", I),
