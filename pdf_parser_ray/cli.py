@@ -47,8 +47,9 @@ def main(argv=None):
     p_run.add_argument("--batch-size", type=int, default=128)
     p_run.add_argument("--no-resume", action="store_true")
     p_run.add_argument("--staging-dir", default=None,
-                       help="hive-stage the routed input by unit first "
-                            "(fleet-scale layout; see DESIGN.md)")
+                       help="where the routed input is hive-staged by unit "
+                            "(default: an <out>_staging_<key> sibling; "
+                            "see DESIGN.md \"Unit reads\")")
 
     p_synth = sub.add_parser("synth", help="build the synthetic pages table")
     p_synth.add_argument("--sf-dir", default="/root/testdata/sf0.001")

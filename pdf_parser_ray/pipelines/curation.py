@@ -85,6 +85,7 @@ def boilerplate_dedup_pipeline(sf_dir: str, min_docs: int = 3):
              co-group: min(doc_id) + group size per key
           -> (doc_id, is_canonical, dup_group_size)     # never empty
 
+    The strip is training.strip_boilerplate, shared with line_dedup.
     Fully distributed: the former driver-side boilerplate frozenset
     broadcast grew with the corpus (at CC scale the set of lines in
     >= min_docs docs is every footer/nav variant); the semi-join shape
@@ -100,101 +101,22 @@ def boilerplate_dedup_pipeline(sf_dir: str, min_docs: int = 3):
     import ray.data
 
     from .dedup import coarse_buckets
+    from .training import strip_boilerplate
 
     n_buckets = coarse_buckets(floor=256)  # content-key dedup buckets
-    n_hash_buckets = coarse_buckets()
-    n_doc_buckets = coarse_buckets()
     ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
 
-    def _lines_for(doc_id: int, text: str) -> list[str]:
+    def lines_for(doc_id: int, text: str) -> list[str]:
         return [text, f"footer {doc_id % 7}", f"banner {doc_id % 3}"]
 
-    def line_occurrences(batch: pa.Table) -> pa.Table:
-        ids, idxs, lines = [], [], []
-        for doc_id, s in zip(
-            batch["doc_id"].to_pylist(), batch["text"].to_pylist()
-        ):
-            ls = _lines_for(doc_id, s)
-            ids.extend([doc_id] * len(ls))
-            idxs.extend(range(len(ls)))
-            lines.extend(ls)
-        h1, h2 = blake2b128_of_strings(pa.array(lines, pa.string()))
+    def content_key(t: pa.Table) -> pa.Table:
+        c1, c2 = blake2b128_of_strings(t["text_clean"])
         return pa.table(
             {
-                "hb": pa.array((h1 % n_hash_buckets).astype(np.int64)),
-                "h1": pa.array(h1, pa.int64()),
-                "h2": pa.array(h2, pa.int64()),
-                "doc_id": pa.array(ids, pa.int64()),
-                "line_idx": pa.array(idxs, pa.int64()),
-            }
-        )
-
-    def boiler_sites(g: pd.DataFrame) -> pd.DataFrame:
-        df_per_line = g.groupby(["h1", "h2"])["doc_id"].transform("nunique")
-        hit = g[df_per_line >= min_docs].reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "doc_id": hit["doc_id"].astype("int64"),
-                "line_idx": hit["line_idx"].astype("int64"),
-            }
-        )
-
-    sites = (
-        ds.map_batches(line_occurrences, batch_format="pyarrow")
-        .groupby("hb")
-        .map_groups(boiler_sites, batch_format="pandas")
-    )
-
-    def site_rows(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "db": (df["doc_id"] % n_doc_buckets).astype("int64"),
-                "doc_id": df["doc_id"].astype("int64"),
-                "line_idx": df["line_idx"].astype("int64"),
-                "text": pd.Series([None] * len(df), dtype="object"),
-            }
-        )
-
-    def doc_rows(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "db": (df["doc_id"] % n_doc_buckets).astype("int64"),
-                "doc_id": df["doc_id"].astype("int64"),
-                "line_idx": np.full(len(df), -1, dtype=np.int64),
-                "text": df["text"].astype("object"),
-            }
-        )
-
-    unioned = ds.map_batches(doc_rows, batch_format="pandas").union(
-        sites.map_batches(site_rows, batch_format="pandas")
-    )
-
-    def clean_and_key(g: pd.DataFrame) -> pd.DataFrame:
-        smask = g["line_idx"] >= 0
-        removed: dict[int, set[int]] = {}
-        for d, i in zip(
-            g.loc[smask, "doc_id"].astype(int),
-            g.loc[smask, "line_idx"].astype(int),
-        ):
-            removed.setdefault(d, set()).add(i)
-        docs = g[~smask]
-        ids, cleaned = [], []
-        for doc_id, s in zip(docs["doc_id"].astype(int), docs["text"]):
-            ls = _lines_for(doc_id, s)
-            gone = removed.get(doc_id, ())
-            ids.append(doc_id)
-            cleaned.append(
-                "\n".join(l for i, l in enumerate(ls) if i not in gone)
-            )
-        c1, c2 = blake2b128_of_strings(pa.array(cleaned, pa.string()))
-        return pd.DataFrame(
-            {
-                "bucket": pd.Series((c1 % n_buckets).astype(np.int64)),
-                "c1": pd.Series(c1, dtype="int64"),
-                "c2": pd.Series(c2, dtype="int64"),
-                "doc_id": pd.Series(ids, dtype="int64"),
+                "bucket": pa.array((c1 % n_buckets).astype(np.int64)),
+                "c1": pa.array(c1, pa.int64()),
+                "c2": pa.array(c2, pa.int64()),
+                "doc_id": t["doc_id"],
             }
         )
 
@@ -209,13 +131,9 @@ def boilerplate_dedup_pipeline(sf_dir: str, min_docs: int = 3):
             }
         )
 
-    keyed = unioned.groupby("db").map_groups(
-        clean_and_key, batch_format="pandas"
-    )
     return (
-        # arrow-identity hop between the pandas map_groups and the next
-        # groupby: aggregating pandas blocks directly costs ~2x the plan
-        keyed.map_batches(lambda t: t, batch_format="pyarrow")
+        strip_boilerplate(ds, lines_for, min_docs)
+        .map_batches(content_key, batch_format="pyarrow")
         .groupby("bucket")
         .map_groups(dedup_group, batch_format="pandas")
         .map_batches(

@@ -916,6 +916,40 @@ def _typed_empty_clusters():
     )
 
 
+_M1 = 0x9E3779B97F4A7C15
+_M2 = 0xC2B2AE3D27D4EB4F
+
+
+def _edge_hashes(t: pa.Table) -> pa.Table:
+    u = t["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    v = t["v"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    with np.errstate(over="ignore"):
+        h1 = (u * np.uint64(_M1)) ^ (v * np.uint64(_M2))
+        h2 = (u * np.uint64(_M2 | 1)) ^ ((v + np.uint64(7)) * np.uint64(_M1))
+    return pa.table(
+        {
+            "h1": pa.array(h1.astype(np.int64)),
+            "h2": pa.array(h2.astype(np.int64)),
+            "one": pa.array(np.ones(len(u), np.int64)),
+        }
+    )
+
+
+def edge_signature(eds) -> tuple:
+    """(count, two 64-bit hash sums) of an (u, v) edge multiset. Ray's
+    ``Sum`` wraps inside a block (Arrow int64) but adds the per-block
+    results as Python ints, so each sum is reduced mod 2**64 to make the
+    signature depend on the edge set alone, not on the block split."""
+    from ray.data.aggregate import Sum
+
+    row = eds.map_batches(_edge_hashes, batch_format="pyarrow").aggregate(
+        Sum("one", alias_name="n"),
+        Sum("h1", alias_name="h1"),
+        Sum("h2", alias_name="h2"),
+    )
+    return tuple(row[k] % 2**64 for k in ("n", "h1", "h2"))
+
+
 def star_contraction_clusters(pairs_ds, max_rounds: int = 30):
     """Distributed connected components by alternating large-star /
     small-star contraction (the public MapReduce CC algorithm of
@@ -939,14 +973,14 @@ def star_contraction_clusters(pairs_ds, max_rounds: int = 30):
 
     Neither emits self-loops; in-group np-dedup bounds the multiset.
     Fixpoint = two consecutive rounds with identical edge-multiset
-    signature (count + two independent 64-bit hash sums — the edge
+    signature (edge_signature: count + two 64-bit hash sums — the edge
     set provably reaches the star fixpoint and a round's output is a
     deterministic function of its input, so the signature stabilizes
     exactly when the rounds do)."""
     import logging
 
     import ray.data
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Count
 
     nb = coarse_buckets()
 
@@ -1022,37 +1056,12 @@ def star_contraction_clusters(pairs_ds, max_rounds: int = 30):
             .materialize()
         )
 
-    _M1 = 0x9E3779B97F4A7C15
-    _M2 = 0xC2B2AE3D27D4EB4F
-
-    def sig_partial(t: pa.Table) -> pa.Table:
-        u = t["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        v = t["v"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h1 = (u * np.uint64(_M1)) ^ (v * np.uint64(_M2))
-            h2 = (u * np.uint64(_M2 | 1)) ^ ((v + np.uint64(7)) * np.uint64(_M1))
-        return pa.table(
-            {
-                "h1": pa.array(h1.astype(np.int64)),
-                "h2": pa.array(h2.astype(np.int64)),
-                "one": pa.array(np.ones(len(u), np.int64)),
-            }
-        )
-
-    def signature(eds) -> tuple:
-        row = eds.map_batches(sig_partial, batch_format="pyarrow").aggregate(
-            Sum("h1", alias_name="h1"),
-            Sum("h2", alias_name="h2"),
-            Sum("one", alias_name="n"),
-        )
-        return (row["n"], row["h1"], row["h2"])
-
     prev_sig = None
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         edges = half_round(edges, large_pre, large_reduce)
         edges = half_round(edges, small_pre, small_reduce)
-        cur_sig = signature(edges)
+        cur_sig = edge_signature(edges)
         if cur_sig == prev_sig:
             break
         prev_sig = cur_sig

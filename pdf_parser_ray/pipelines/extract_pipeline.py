@@ -65,18 +65,8 @@ def build_extract_ds(
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
     concurrency=None,
     batch_size: int = 64,
-    repartition_blocks: int | None = None,
 ):
-    """Lazy extraction Dataset over a pages Dataset (no consumption).
-
-    ``repartition_blocks``: explicit pre-route repartition (north_rule:
-    "read_parquet with explicit repartitioning to bound skew"). Splits
-    or coalesces blocks WITHOUT a shuffle so a handful of giant input
-    files can't serialize the pipeline; Ray's dynamic block splitting
-    plus the giant-row lane handle per-row skew beyond that.
-    """
-    if repartition_blocks is not None:
-        pages_ds = pages_ds.repartition(repartition_blocks)
+    """Lazy extraction Dataset over a pages Dataset (no consumption)."""
     ds = pages_ds.map_batches(
         make_router(num_partitions), batch_format="pyarrow"
     )
@@ -86,40 +76,11 @@ def build_extract_ds(
     )
 
 
-def read_routed(pages_path: str, num_partitions: int):
-    """Lazy routed Dataset over a pages table, projected to the pipeline
-    columns (the full table when its schema lacks them)."""
-    import ray.data
-
-    from ..sources.synth import PIPELINE_COLUMNS
-
-    try:
-        pages = ray.data.read_parquet(pages_path, columns=PIPELINE_COLUMNS)
-    except Exception:
-        pages = ray.data.read_parquet(pages_path)  # non-standard schema
-    return pages.map_batches(make_router(num_partitions), batch_format="pyarrow")
-
-
 def unit_range(unit_id: int, num_units: int, num_partitions: int) -> tuple[int, int]:
     """Partition ids ``[lo, hi)`` of resume unit ``unit_id``."""
     return (
         unit_id * num_partitions // num_units,
         (unit_id + 1) * num_partitions // num_units,
-    )
-
-
-def lane_rows(t: pa.Table, lo: int | None, hi: int | None, cap: int) -> pa.Table:
-    """The rows one sub-job extracts: partition ids ``[lo, hi)`` with
-    payloads of at most ``cap`` bytes, or, for the giant lane
-    (``lo is None``), every payload over ``cap``."""
-    if lo is None:
-        return t.filter(pc.greater(t["nbytes"], cap))
-    pid = t["partition_id"]
-    return t.filter(
-        pc.and_(
-            pc.and_(pc.greater_equal(pid, lo), pc.less(pid, hi)),
-            pc.less_equal(t["nbytes"], cap),
-        )
     )
 
 
@@ -174,13 +135,15 @@ def stage_pages(
 ) -> str:
     """Route the input ONCE and write it hive-partitioned by resume
     unit (``unit_id=K/``), so each unit sub-job reads only its own
-    files — the fleet-scale layout from DESIGN.md "Unit reads", which
-    removes the per-unit full-input re-read. Rows whose payload exceeds
+    files (DESIGN.md "Unit reads"). Rows whose payload exceeds
     ``giant_cap`` (default stages.extract.GIANT_ROW_BYTES) go to the
     giant-lane unit ``unit_id=<num_units>``. Idempotent (atomic commit
     + _SUCCESS marker)."""
     import json
 
+    import ray.data
+
+    from ..sources.synth import PIPELINE_COLUMNS
     from ..stages.extract import GIANT_ROW_BYTES
 
     if giant_cap is None:
@@ -195,8 +158,8 @@ def stage_pages(
     marker = os.path.join(staging_dir, "_SUCCESS")
     if os.path.exists(marker):
         # a staged layout is only valid for the grid that built it:
-        # reusing it under a different unit count would silently drop
-        # the partitions that fall outside every unit's filter range
+        # reusing it under another unit count or cap would hand units
+        # the wrong rows
         try:
             with open(marker) as f:
                 prev = json.load(f)
@@ -222,12 +185,17 @@ def stage_pages(
         unit = np.where(giant, num_units, unit_of[pid])
         return t.append_column("unit_id", pa.array(unit, type=pa.int32()))
 
+    try:
+        pages = ray.data.read_parquet(pages_path, columns=PIPELINE_COLUMNS)
+    except Exception:
+        pages = ray.data.read_parquet(pages_path)  # non-standard schema
     tmp = staging_dir + ".tmp"
     shutil.rmtree(tmp, ignore_errors=True)
     shutil.rmtree(staging_dir, ignore_errors=True)
-    read_routed(pages_path, num_partitions).map_batches(
-        add_unit, batch_format="pyarrow"
-    ).write_parquet(tmp, partition_cols=["unit_id"])
+    routed = pages.map_batches(make_router(num_partitions), batch_format="pyarrow")
+    routed.map_batches(add_unit, batch_format="pyarrow").write_parquet(
+        tmp, partition_cols=["unit_id"]
+    )
     os.rename(tmp, staging_dir)
     with open(marker, "w") as f:
         json.dump(grid, f)
@@ -254,20 +222,18 @@ def run_extract_job(
     100 TB scale, units are the coarse recovery grain (hundreds to
     thousands); within a unit Ray's lineage handles task retries.
 
-    Giant lane: rows whose payload exceeds ``giant_cap`` (default
-    stages.extract.GIANT_ROW_BYTES) skip the main pool and are
-    processed by a final dedicated unit — an uncapped pool of at most
-    2 actors (fewer on a small CPU claim) with single-row batches, so
-    one multi-GiB document never stalls the fleet and still produces
-    real output.
+    The input is routed and hive-partitioned by unit ONCE
+    (stage_pages) into ``staging_dir``; each unit, the giant lane
+    included, then reads only its own ``unit_id=K`` directory, so the
+    job scans the input twice in all (DESIGN.md "Unit reads").
+    ``staging_dir`` defaults to the ``<out_dir>_staging_<key>``
+    sibling, keyed by the input path, its fingerprint and the grid.
 
-    ``staging_dir``: route + hive-partition the input by unit ONCE
-    (stage_pages) so each unit, the giant lane included, reads only its
-    own files instead of filtering a full scan — the fleet-scale layout
-    (DESIGN.md), which scans the input twice in all. At
-    ``num_units >= 32`` staging switches ON automatically (scan
-    amplification of the filter-scan path is O(units)); pass
-    ``staging_dir=""`` to force filter-scan anyway.
+    Giant lane: rows whose payload exceeds ``giant_cap`` (default
+    stages.extract.GIANT_ROW_BYTES) are staged to a final dedicated
+    unit — an uncapped pool of at most 2 actors (fewer on a small CPU
+    claim) with single-row batches, so one multi-GiB document never
+    stalls the fleet and still produces real output.
     """
     import ray.data
 
@@ -275,10 +241,7 @@ def run_extract_job(
 
     if giant_cap is None:
         giant_cap = GIANT_ROW_BYTES
-    pool = actor_pool() if concurrency is None else {"concurrency": concurrency}
-    if staging_dir is None and num_units >= 32:
-        # keyed by the input path so a different input never reuses a
-        # stale staging layout (stage_pages is idempotent per dir)
+    if staging_dir is None:
         import hashlib
 
         # the input FINGERPRINT is part of the key: regenerated input at
@@ -289,8 +252,6 @@ def run_extract_job(
             f"|{num_partitions}|{num_units}|{giant_cap}".encode()
         ).hexdigest()[:10]
         staging_dir = out_dir.rstrip("/") + f"_staging_{key}"
-    elif staging_dir == "":
-        staging_dir = None
     job_params = {
         "num_units": num_units,
         "num_partitions": num_partitions,
@@ -304,54 +265,42 @@ def run_extract_job(
         mf.check_job(out_dir, job_params)
     else:
         shutil.rmtree(out_dir, ignore_errors=True)
-    if staging_dir is not None:
-        stage_pages(
-            pages_path,
-            staging_dir,
-            num_partitions=num_partitions,
-            num_units=num_units,
-            giant_cap=giant_cap,
-        )
+    stage_pages(
+        pages_path,
+        staging_dir,
+        num_partitions=num_partitions,
+        num_units=num_units,
+        giant_cap=giant_cap,
+    )
     done = mf.done_units(out_dir) if resume else set()
     os.makedirs(out_dir, exist_ok=True)
     mf.write_job(out_dir, job_params)
 
+    # staged main-lane rows are at most giant_cap bytes, so both lanes
+    # run uncapped actors and differ only in batch size and pool
+    pool = actor_pool() if concurrency is None else {"concurrency": concurrency}
     results = []
     for unit_id in range(num_units + 1):  # the final unit is the giant lane
         if unit_id in done:
             continue
         t0 = time.monotonic()
         if unit_id == num_units:
-            lo = hi = None
-            lane = {
-                "batch_size": 1,
-                "fn_constructor_kwargs": {"giant_cap": None},
-                **actor_pool(size=2),
-            }
+            lane = {"batch_size": 1, **actor_pool(size=2)}
         else:
-            lo, hi = unit_range(unit_id, num_units, num_partitions)
-            lane = {
-                "batch_size": batch_size,
-                "fn_constructor_kwargs": {"giant_cap": giant_cap},
-                **pool,
-            }
-        if staging_dir is None:
-            routed = read_routed(pages_path, num_partitions)
-        else:
-            unit_dir = os.path.join(staging_dir, f"unit_id={unit_id}")
-            # a unit with no staged rows has no directory
-            has_rows = os.path.isdir(unit_dir)
-            routed = ray.data.read_parquet(unit_dir) if has_rows else None
-
+            lane = {"batch_size": batch_size, **pool}
+        unit_dir = os.path.join(staging_dir, f"unit_id={unit_id}")
         unit_out = mf.unit_out_dir(out_dir, unit_id)
         tmp_out = unit_out + ".tmp"
         shutil.rmtree(tmp_out, ignore_errors=True)
         shutil.rmtree(unit_out, ignore_errors=True)
         os.makedirs(tmp_out, exist_ok=True)  # empty units still commit
-        if routed is not None:
-            extracted = routed.map_batches(
-                lane_rows, batch_format="pyarrow", fn_args=(lo, hi, giant_cap)
-            ).map_batches(Extractor, batch_format="pyarrow", **lane)
+        if os.path.isdir(unit_dir):  # a unit with no staged rows has none
+            extracted = ray.data.read_parquet(unit_dir).map_batches(
+                Extractor,
+                batch_format="pyarrow",
+                fn_constructor_kwargs={"giant_cap": None},
+                **lane,
+            )
             # bound file counts: at fleet scale thousands of tiny part
             # files per unit wreck the downstream read path
             extracted.write_parquet(tmp_out, min_rows_per_file=50_000)

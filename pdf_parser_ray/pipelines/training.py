@@ -1002,12 +1002,28 @@ def line_dedup(sf_dir: str, min_docs: int = 3):
     CCNet-paragraph boilerplate step): a line whose exact content
     appears in >= ``min_docs`` DISTINCT documents is boilerplate and is
     removed from every document. Returns per doc: total line count,
-    kept line count, and the cleaned text.
+    kept line count, and the cleaned text (strip_boilerplate).
 
     The corpus text is single-line, so the pipeline injects three
     deterministic SQL-restatable lines per doc: ``footer <id%7>`` and
     ``banner <id%3>`` (shared across many docs -> removed) and
     ``sig <id>`` (unique -> kept).
+    """
+    import ray.data
+
+    def lines_for(doc_id: int, text: str) -> list[str]:
+        return [text, f"footer {doc_id % 7}", f"banner {doc_id % 3}", f"sig {doc_id}"]
+
+    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
+    return strip_boilerplate(ds, lines_for, min_docs)
+
+
+def strip_boilerplate(ds, lines_for, min_docs: int):
+    """The boilerplate strip of ``line_dedup`` and
+    ``curation.boilerplate_dedup_pipeline``: over (doc_id, text) rows
+    whose lines are ``lines_for(doc_id, text)``, drop every line that
+    appears in >= ``min_docs`` distinct docs and return (doc_id,
+    n_lines, n_kept, text_clean) per doc.
 
     Plan — a fully distributed CO-SHUFFLED SEMI-JOIN (nothing
     corpus-derived ever lands on the driver; the former frozenset
@@ -1028,25 +1044,18 @@ def line_dedup(sf_dir: str, min_docs: int = 3):
        doc) and strip in-group: rebuild the doc's lines, drop the
        flagged indices, emit (doc_id, n_lines, n_kept, text_clean).
     """
-    import ray.data
-
     from ..functions.hashing import blake2b128_of_strings
     from .dedup import coarse_buckets
 
     n_hash_buckets = coarse_buckets()
     n_doc_buckets = coarse_buckets()
 
-    def _lines_for(doc_id: int, text: str) -> list[str]:
-        return [text, f"footer {doc_id % 7}", f"banner {doc_id % 3}", f"sig {doc_id}"]
-
-    ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
-
     def line_occurrences(batch: pa.Table) -> pa.Table:
         ids, idxs, lines = [], [], []
         for doc_id, s in zip(
             batch["doc_id"].to_pylist(), batch["text"].to_pylist()
         ):
-            ls = _lines_for(doc_id, s)
+            ls = lines_for(doc_id, s)
             ids.extend([doc_id] * len(ls))
             idxs.extend(range(len(ls)))
             lines.extend(ls)
@@ -1120,7 +1129,7 @@ def line_dedup(sf_dir: str, min_docs: int = 3):
         docs = g[~smask]
         ids, n_lines, n_kept, cleaned = [], [], [], []
         for doc_id, s in zip(docs["doc_id"].astype(int), docs["text"]):
-            ls = _lines_for(doc_id, s)
+            ls = lines_for(doc_id, s)
             gone = removed.get(doc_id, ())
             kept = [l for i, l in enumerate(ls) if i not in gone]
             ids.append(doc_id)

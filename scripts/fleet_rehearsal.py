@@ -1,15 +1,16 @@
 """Fleet-shape resume rehearsal (round-1 VERDICT #8).
 
-Phase A — unit-read amplification, staged vs filter-scan (100k docs,
-U=16): filter-scan mode re-reads the FULL routed input once per unit
-(U x N rows scanned); the hive-staged layout (stage_pages) reads each
-row exactly once across all units. Reports wall time for both modes
-plus the structural scan volumes.
+Phase A — staged unit reads (100k docs, U=16): the job routes the
+input once into the hive-staged layout (stage_pages) and each unit,
+the giant lane included, reads only its own directory. Reports the
+wall time and the structural scan volume (2x the input).
 
-Phase B — fleet shape (2M docs, P=65,536, U=64, staged): launch the
-resumable job in a subprocess, SIGKILL it mid-run, resume in-process,
-and verify that committed units are skipped, the unit grid guard
-holds, and the final output is complete.
+Phase B — fleet shape (2M docs, P=65,536, U=64): launch the resumable
+job in a subprocess, SIGKILL it mid-run, resume in-process, and verify
+that committed units are skipped, the unit grid guard holds, and the
+final output is complete.
+
+Both phases claim the host's CPUs (``os.sched_getaffinity``).
 
 Usage: python scripts/fleet_rehearsal.py [--skip-2m]
 Prints ONE JSON line; record the result in BASELINE.md.
@@ -29,11 +30,10 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 SF = "/root/testdata/sf0.1"
 OUT_ROOT = "/tmp/fleet_rehearsal"
+HOST_CPUS = len(os.sched_getaffinity(0))
 
 
 def phase_a() -> dict:
-    import ray
-
     from pdf_parser_ray.pipelines.extract_pipeline import run_extract_job
     from pdf_parser_ray.sources.synth import build_pages_table
 
@@ -41,22 +41,14 @@ def phase_a() -> dict:
     n_docs = 100_000
     units = 16
 
-    out_fs = os.path.join(OUT_ROOT, "amp_filterscan")
-    shutil.rmtree(out_fs, ignore_errors=True)
-    t0 = time.monotonic()
-    r1 = run_extract_job(
-        pages, out_fs, num_units=units, num_partitions=4096, resume=False
-    )
-    t_fs = time.monotonic() - t0
-
-    out_st = os.path.join(OUT_ROOT, "amp_staged")
+    out = os.path.join(OUT_ROOT, "amp_staged")
     staging = os.path.join(OUT_ROOT, "amp_staging")
-    shutil.rmtree(out_st, ignore_errors=True)
+    shutil.rmtree(out, ignore_errors=True)
     shutil.rmtree(staging, ignore_errors=True)
     t0 = time.monotonic()
-    r2 = run_extract_job(
+    results = run_extract_job(
         pages,
-        out_st,
+        out,
         num_units=units,
         num_partitions=4096,
         resume=False,
@@ -64,17 +56,13 @@ def phase_a() -> dict:
     )
     t_staged = time.monotonic() - t0
 
-    assert sum(r["rows"] for r in r1) == n_docs, r1
-    assert sum(r["rows"] for r in r2) == n_docs, r2
+    assert sum(r["rows"] for r in results) == n_docs, results
     return {
         "docs": n_docs,
         "units": units,
-        "filter_scan_sec": round(t_fs, 1),
         "staged_sec": round(t_staged, 1),
-        "filter_scan_rows_scanned": n_docs * (units + 1),  # + giant-lane unit
         # once to stage + once by the unit (giant lane included) it lands in
         "staged_rows_scanned": n_docs * 2,
-        "read_amplification_removed": f"{units + 1}x -> 2x",
     }
 
 
@@ -95,7 +83,7 @@ def phase_b(repeat: int = 400) -> dict:
             "-m",
             "pdf_parser_ray.cli",
             "--num-cpus",
-            "32",
+            str(HOST_CPUS),
             "run-extract",
             "--input",
             pages,
@@ -138,7 +126,7 @@ def phase_b(repeat: int = 400) -> dict:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=32,
+            num_cpus=HOST_CPUS,
             include_dashboard=False,
             logging_level="ERROR",
         )
@@ -200,7 +188,10 @@ def main():
 
     skip_2m = "--skip-2m" in sys.argv
     ray.init(
-        address="local", num_cpus=32, include_dashboard=False, logging_level="ERROR"
+        address="local",
+        num_cpus=HOST_CPUS,
+        include_dashboard=False,
+        logging_level="ERROR",
     )
     from ray.data import DataContext
 

@@ -23,6 +23,29 @@ def docs():
     return {r["doc_id"]: r for r in t.to_pylist()}
 
 
+JOB_COLUMNS = ["url", "ok", "error", "text"]
+
+
+@pytest.fixture(scope="module")
+def in_process_rows(pages_path):
+    """(url, ok, error, text) per page from one uncapped in-process
+    ``Extractor``: what every job over the pages must write."""
+    from pdf_parser_ray.sources.synth import PIPELINE_COLUMNS
+    from pdf_parser_ray.stages.extract import Extractor
+    from pdf_parser_ray.stages.route import make_router
+
+    pages = pq.read_table(pages_path, columns=PIPELINE_COLUMNS)
+    out = Extractor(giant_cap=None)(make_router(8)(pages)).select(JOB_COLUMNS)
+    return set(out.to_pandas().itertuples(index=False, name=None))
+
+
+def job_rows(out_dir: str) -> set:
+    import ray.data
+
+    rows = ray.data.read_parquet(out_dir, columns=JOB_COLUMNS).to_pandas()
+    return set(rows.itertuples(index=False, name=None))
+
+
 def test_pages_schema(pages_path):
     schema = pq.ParquetDataset(pages_path).schema
     names = [f.name for f in schema]
@@ -233,9 +256,11 @@ def test_giant_lane_extracts(ray_session, pages_path, tmp_path):
     assert ok_total == 334  # every pdf/html row extracted despite the cap
 
 
-def test_staged_job_matches_unstaged(ray_session, pages_path, tmp_path):
-    """Hive-staged unit reads (fleet-scale layout) produce identical
-    totals to the filter-scan path."""
+def test_staged_job_matches_unstaged(
+    ray_session, pages_path, in_process_rows, tmp_path
+):
+    """A job with an explicit staging dir writes, per url, what an
+    in-process ``Extractor`` gives on the unstaged pages."""
     from pdf_parser_ray.pipelines.extract_pipeline import run_extract_job
     from pdf_parser_ray.state import manifest as mf
 
@@ -255,6 +280,7 @@ def test_staged_job_matches_unstaged(ray_session, pages_path, tmp_path):
     import ray.data
 
     assert ray.data.read_parquet(out_dir).count() == 500
+    assert job_rows(out_dir) == in_process_rows
 
 
 def test_giant_cap_above_default_reaches_the_main_lane(ray_session, tmp_path):
@@ -293,37 +319,46 @@ def test_giant_cap_above_default_reaches_the_main_lane(ray_session, tmp_path):
     assert not row["error"].startswith("giant:")
 
 
-def test_staged_giant_lane_reads_the_staged_layout(ray_session, pages_path, tmp_path):
+def test_staged_giant_lane_reads_the_staged_layout(
+    ray_session, pages_path, in_process_rows, tmp_path
+):
     """Staging puts rows over ``giant_cap`` in the giant-lane unit, which
-    then reads only that directory; output and per-unit counts, empty
-    units included, equal the filter-scan path's, and a layout staged
-    for another cap is refused."""
+    then reads only that directory; output equals an in-process
+    ``Extractor``'s, per-unit counts (empty units included) equal the
+    routed pages', and a layout staged for another cap is refused."""
     import ray.data
 
-    from pdf_parser_ray.pipelines.extract_pipeline import run_extract_job, stage_pages
+    from pdf_parser_ray.pipelines.extract_pipeline import (
+        run_extract_job,
+        stage_pages,
+        unit_range,
+    )
+    from pdf_parser_ray.stages.route import make_router
 
-    cols = ["url", "ok", "error", "text"]
-    runs = {}
-    for mode, staging in (("scan", ""), ("staged", str(tmp_path / "staging"))):
-        out_dir = str(tmp_path / mode)
-        # 4 units over 2 partitions: units 0 and 2 get no partition
-        results = run_extract_job(
-            pages_path,
-            out_dir,
-            num_units=4,
-            num_partitions=2,
-            concurrency=2,
-            giant_cap=1500,
-            staging_dir=staging,
-        )
-        rows = ray.data.read_parquet(out_dir, columns=cols).to_pandas()
-        runs[mode] = (
-            [(r["unit_id"], r["rows"]) for r in results],
-            set(rows.itertuples(index=False, name=None)),
-        )
-    assert runs["staged"] == runs["scan"]
-    assert [u for u, n in runs["scan"][0] if n == 0] == [0, 2]
-    assert len(runs["scan"][1]) == 500
+    out_dir = str(tmp_path / "staged")
+    # 4 units over 2 partitions: units 0 and 2 get no partition
+    results = run_extract_job(
+        pages_path,
+        out_dir,
+        num_units=4,
+        num_partitions=2,
+        concurrency=2,
+        giant_cap=1500,
+        staging_dir=str(tmp_path / "staging"),
+    )
+    counts = [(r["unit_id"], r["rows"]) for r in results]
+    routed = make_router(2)(pq.read_table(pages_path, columns=["url", "html"]))
+    pids = routed["partition_id"].to_pylist()
+    sizes = routed["nbytes"].to_pylist()
+
+    def unit_rows(u):
+        lo, hi = unit_range(u, 4, 2)
+        return sum(lo <= p < hi and n <= 1500 for p, n in zip(pids, sizes))
+
+    expected = [(u, unit_rows(u)) for u in range(4)]
+    assert counts == expected + [(4, sum(n > 1500 for n in sizes))]
+    assert [u for u, n in counts if n == 0] == [0, 2]
+    assert job_rows(out_dir) == in_process_rows and len(in_process_rows) == 500
 
     giant = ray.data.read_parquet(
         str(tmp_path / "staging" / "unit_id=4"), columns=["url", "nbytes"]
@@ -339,6 +374,105 @@ def test_staged_giant_lane_reads_the_staged_layout(ray_session, pages_path, tmp_
             num_units=4,
             giant_cap=3000,
         )
+
+
+def test_resume_param_mismatch_refused(ray_session, tmp_path):
+    from pdf_parser_ray.pipelines.extract_pipeline import run_extract_job
+    from pdf_parser_ray.sources.synth import build_pages_table
+
+    pages_path = build_pages_table("/root/testdata/sf0.001")
+    out_dir = str(tmp_path / "job")
+    run_extract_job(pages_path, out_dir, num_units=2, num_partitions=8, concurrency=1)
+    with pytest.raises(ValueError, match="resume parameter mismatch"):
+        run_extract_job(
+            pages_path, out_dir, num_units=4, num_partitions=8, concurrency=1
+        )
+    # resume=False restarts cleanly with the new grid
+    results = run_extract_job(
+        pages_path,
+        out_dir,
+        num_units=4,
+        num_partitions=8,
+        concurrency=1,
+        resume=False,
+    )
+    assert sum(r["rows"] for r in results) == 500
+
+
+def test_auto_staging_at_high_unit_count(ray_session, in_process_rows, tmp_path):
+    """Without a staging dir the job stages into the fingerprint-keyed
+    ``<out>_staging_<key>`` sibling; at 32 units its output still equals
+    an in-process ``Extractor``'s."""
+    from pdf_parser_ray.pipelines.extract_pipeline import run_extract_job
+    from pdf_parser_ray.sources.synth import build_pages_table
+
+    pages = build_pages_table("/root/testdata/sf0.001")
+    out = str(tmp_path / "auto")
+    results = run_extract_job(
+        pages, out, num_units=32, num_partitions=64, concurrency=1
+    )
+    assert sum(r["rows"] for r in results) == 500
+    import glob
+
+    staged = glob.glob(str(tmp_path / "auto_staging_*"))
+    assert staged and any("unit_id=" in p for p in glob.glob(staged[0] + "/*"))
+    assert job_rows(out) == in_process_rows
+
+
+def test_stage_dir_grid_mismatch_refused(ray_session, tmp_path):
+    """A staged layout is only valid for the grid that built it —
+    reusing it under a different unit count would silently drop rows."""
+    from pdf_parser_ray.pipelines.extract_pipeline import stage_pages
+    from pdf_parser_ray.sources.synth import build_pages_table
+
+    pages = build_pages_table("/root/testdata/sf0.001")
+    staging = str(tmp_path / "st")
+    stage_pages(pages, staging, num_partitions=64, num_units=8)
+    # same grid: idempotent reuse
+    stage_pages(pages, staging, num_partitions=64, num_units=8)
+    with pytest.raises(ValueError, match="staging dir"):
+        stage_pages(pages, staging, num_partitions=64, num_units=4)
+
+
+def test_staging_key_tracks_input_fingerprint(ray_session, tmp_path):
+    """Regenerating the input at the same path must map to a FRESH
+    auto-derived staging dir (fingerprint is part of the key), not
+    hard-fail against the stale layout's grid marker."""
+    import time
+
+    from pdf_parser_ray.pipelines.extract_pipeline import run_extract_job
+    from pdf_parser_ray.sources import synth
+
+    src = tmp_path / "pages"
+    src.mkdir()
+
+    def write_input(n):
+        t = pa.table(
+            {
+                "doc_id": pa.array(list(range(n)), pa.int64()),
+                "text": pa.array([f"doc {i} words here" for i in range(n)]),
+                "lang": pa.array(["en"] * n),
+            }
+        )
+        pages = synth.synth_batch(t)
+        pq.write_table(pages, src / "part.parquet")
+
+    out = tmp_path / "out"
+    write_input(30)
+    run_extract_job(str(src), str(out), num_units=32, num_partitions=64)
+    stagings = [d for d in os.listdir(tmp_path) if "_staging_" in d]
+    assert len(stagings) == 1
+
+    # regenerate the input at the SAME path (different content + mtime)
+    time.sleep(1.1)  # ensure the mtime component of the fingerprint moves
+    write_input(40)
+    import shutil
+
+    shutil.rmtree(out)
+    res = run_extract_job(str(src), str(out), num_units=32, num_partitions=64)
+    assert sum(r["rows"] for r in res) == 40  # fresh staging, fresh rows
+    stagings = [d for d in os.listdir(tmp_path) if "_staging_" in d]
+    assert len(stagings) == 2  # new fingerprint -> new staging dir
 
 
 def test_cli_run_extract_and_manifest(ray_session, tmp_path, capsys):

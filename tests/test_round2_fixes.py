@@ -1,5 +1,6 @@
 """Round-2 hardening tests: vectorized router equivalence, truncated
-Flate detection, resume parameter guard (ADVICE.md + VERDICT.md #6)."""
+Flate detection (ADVICE.md + VERDICT.md #6). The job and staging tests
+live in test_pipeline.py."""
 
 import zlib
 
@@ -53,29 +54,6 @@ def test_flate_truncated_raises():
         flate_decode(full[: len(full) // 2])
 
 
-def test_resume_param_mismatch_refused(ray_session, tmp_path):
-    from pdf_parser_ray.pipelines.extract_pipeline import run_extract_job
-    from pdf_parser_ray.sources.synth import build_pages_table
-
-    pages_path = build_pages_table("/root/testdata/sf0.001")
-    out_dir = str(tmp_path / "job")
-    run_extract_job(pages_path, out_dir, num_units=2, num_partitions=8, concurrency=1)
-    with pytest.raises(ValueError, match="resume parameter mismatch"):
-        run_extract_job(
-            pages_path, out_dir, num_units=4, num_partitions=8, concurrency=1
-        )
-    # resume=False restarts cleanly with the new grid
-    results = run_extract_job(
-        pages_path,
-        out_dir,
-        num_units=4,
-        num_partitions=8,
-        concurrency=1,
-        resume=False,
-    )
-    assert sum(r["rows"] for r in results) == 500
-
-
 def test_cmap_cache_keys_are_bytes():
     """Cache must key by raw stream BYTES (collision-proof), not hash()."""
     from pdf_parser_ray.pdfcore.document import PdfDocument
@@ -109,36 +87,3 @@ def test_minhash_batch_signatures_match_scalar():
     # identical signatures -> identical band keys (the LSH contract)
     keys = mh.band_keys_batch(np.stack([sigs[:, 0], sigs[:, 0]], axis=1))
     assert (keys[:, 0] == keys[:, 1]).all()
-
-
-def test_auto_staging_at_high_unit_count(ray_session, tmp_path):
-    """num_units >= 32 switches the hive-staged layout on
-    automatically (fleet default); totals match the filter-scan path."""
-    from pdf_parser_ray.pipelines.extract_pipeline import run_extract_job
-    from pdf_parser_ray.sources.synth import build_pages_table
-
-    pages = build_pages_table("/root/testdata/sf0.001")
-    out = str(tmp_path / "auto")
-    results = run_extract_job(
-        pages, out, num_units=32, num_partitions=64, concurrency=1
-    )
-    assert sum(r["rows"] for r in results) == 500
-    import glob
-
-    staged = glob.glob(str(tmp_path / "auto_staging_*"))
-    assert staged and any("unit_id=" in p for p in glob.glob(staged[0] + "/*"))
-
-
-def test_stage_dir_grid_mismatch_refused(ray_session, tmp_path):
-    """A staged layout is only valid for the grid that built it —
-    reusing it under a different unit count would silently drop rows."""
-    from pdf_parser_ray.pipelines.extract_pipeline import stage_pages
-    from pdf_parser_ray.sources.synth import build_pages_table
-
-    pages = build_pages_table("/root/testdata/sf0.001")
-    staging = str(tmp_path / "st")
-    stage_pages(pages, staging, num_partitions=64, num_units=8)
-    # same grid: idempotent reuse
-    stage_pages(pages, staging, num_partitions=64, num_units=8)
-    with pytest.raises(ValueError, match="staging dir"):
-        stage_pages(pages, staging, num_partitions=64, num_units=4)

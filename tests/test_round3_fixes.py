@@ -1,6 +1,7 @@
 """Round-3 hardening tests (ADVICE.md + VERDICT.md round-2 items):
-zero-shingle band skip, staging-dir fingerprint key, LSH band caps,
-de-amplified pair payload shipping."""
+zero-shingle band skip, LSH band caps, de-amplified pair payload
+shipping. The staging-dir fingerprint key test lives in
+test_pipeline.py."""
 
 import numpy as np
 import pandas as pd
@@ -25,50 +26,6 @@ def test_minhash_stage_skips_zero_shingle_docs():
     assert banded_ids == {1, 4}
     # and the two empty docs share no band keys at all
     assert len(out) == 2 * stage.hasher.bands
-
-
-def test_staging_key_tracks_input_fingerprint(ray_session, tmp_path):
-    """Regenerating the input at the same path must map to a FRESH
-    auto-derived staging dir (fingerprint is part of the key), not
-    hard-fail against the stale layout's grid marker."""
-    import os
-    import time
-
-    import pyarrow.parquet as pq
-
-    from pdf_parser_ray.pipelines.extract_pipeline import run_extract_job
-    from pdf_parser_ray.sources import synth
-
-    src = tmp_path / "pages"
-    src.mkdir()
-
-    def write_input(n):
-        t = pa.table(
-            {
-                "doc_id": pa.array(list(range(n)), pa.int64()),
-                "text": pa.array([f"doc {i} words here" for i in range(n)]),
-                "lang": pa.array(["en"] * n),
-            }
-        )
-        pages = synth.synth_batch(t)
-        pq.write_table(pages, src / "part.parquet")
-
-    out = tmp_path / "out"
-    write_input(30)
-    run_extract_job(str(src), str(out), num_units=32, num_partitions=64)
-    stagings = [d for d in os.listdir(tmp_path) if "_staging_" in d]
-    assert len(stagings) == 1
-
-    # regenerate the input at the SAME path (different content + mtime)
-    time.sleep(1.1)  # ensure the mtime component of the fingerprint moves
-    write_input(40)
-    import shutil
-
-    shutil.rmtree(out)
-    res = run_extract_job(str(src), str(out), num_units=32, num_partitions=64)
-    assert sum(r["rows"] for r in res) == 40  # fresh staging, fresh rows
-    stagings = [d for d in os.listdir(tmp_path) if "_staging_" in d]
-    assert len(stagings) == 2  # new fingerprint -> new staging dir
 
 
 def test_ann_topk_no_driver_materialization(ray_session):

@@ -69,6 +69,29 @@ def test_star_contraction_empty_and_unconverged(ray_session):
         )
 
 
+def test_edge_signature_ignores_the_block_split(ray_session):
+    """The fixpoint signature of one edge set is the same whether the
+    edges arrive as one block or one block per edge (Ray's ``Sum`` wraps
+    inside a block but not across blocks), and it moves when the edge
+    set does."""
+    import ray.data
+
+    from pdf_parser_ray.pipelines.dedup import edge_signature
+
+    t = pa.table(
+        {
+            "u": pa.array(range(200), pa.int64()),
+            "v": pa.array(range(1000, 1200), pa.int64()),
+        }
+    )
+    one = edge_signature(ray.data.from_arrow(t))
+    many = edge_signature(
+        ray.data.from_arrow([t.slice(i, 1) for i in range(len(t))])
+    )
+    assert one == many and one[0] == 200
+    assert edge_signature(ray.data.from_arrow(t.slice(1))) != one
+
+
 def test_dup_copy_mask_is_the_single_source():
     """with_mutated_copies must emit copies exactly where dup_copy_mask
     says (the survivor universe derives from the same mask)."""
