@@ -1,16 +1,48 @@
-"""Two-phase (decomposable) aggregation: the one shape every
-pre-aggregated groupby in the engine takes.
+"""The engine's two shuffle shapes, each written once.
 
-Phase 1 folds each batch to one row per key with ``pa.Table.group_by``
-inside ``map_batches``, so only partial rows ever reach the exchange;
-phase 2 merges the partials with one Ray ``groupby(keys).aggregate``.
-Sums, row counts, mins and maxes are decomposable, so the merge of the
-per-batch partials equals the aggregate over the whole input.
+- ``two_phase_agg`` — the pre-aggregated (decomposable) groupby. Phase 1
+  folds each batch to one row per key with ``pa.Table.group_by`` inside
+  ``map_batches``, so only partial rows ever reach the exchange; phase 2
+  merges the partials with one Ray ``groupby(keys).aggregate``. Sums,
+  row counts, mins and maxes are decomposable, so the merge of the
+  per-batch partials equals the aggregate over the whole input.
+- ``cogroup`` — the bucketed co-group. One or more Datasets (the
+  sides) share one exchange keyed by ``key mod n_buckets``; a reduce
+  function sees, per bucket, every side's rows of that bucket. Joins
+  (semi, anti, inner, outer-compare) and per-key windows are all this
+  shape: the key-level work runs vectorized inside the bucket group,
+  so millions of distinct keys never become millions of Ray groups.
+
+``mod_bucket`` and ``coarse_buckets`` are the bucket rule and the
+cluster-sized bucket count the engine's other exchanges share.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+
+def mod_bucket(col, n: int):
+    """x % n over an Arrow int column (pyarrow has no modulo kernel):
+    ``x - (x // n) * n`` with truncating division, so a negative ``x``
+    gives a remainder in ``(-n, 0]`` — SQL's ``%``."""
+    nn = pa.scalar(n, pa.int64())
+    return pc.subtract(col, pc.multiply(pc.divide(col, nn), nn))
+
+
+def coarse_buckets(requested: int | None = None, per_cpu: int = 2, floor: int = 64) -> int:
+    """Coarse shuffle-bucket count sized to the cluster (``per_cpu``
+    groups per CPU so every reducer core stays busy, never below
+    ``floor`` so a skewed group stays bounded on tiny clusters). A
+    fixed 64 would cap reducer parallelism at 64 on any fleet."""
+    if requested:
+        return requested
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 8))
+    return max(floor, per_cpu * cpus)
 
 
 def two_phase_agg(ds, keys, aggs: dict, prepare=None):
@@ -36,3 +68,72 @@ def two_phase_agg(ds, keys, aggs: dict, prepare=None):
     merge = [merge_op[op](out, alias_name=out) for out, (_, op) in aggs.items()]
     partials = ds.map_batches(partial, batch_format="pyarrow")
     return partials.groupby(keys).aggregate(*merge)
+
+
+def cogroup(sides, key: str, n_buckets: int, fn, batch_format: str = "pandas"):
+    """Co-group one Dataset or a list of them on ``key mod n_buckets``.
+
+    ``fn(*parts)`` runs once per bucket that holds a row, with one
+    frame per side, in ``sides`` order (``pandas`` DataFrames or, for
+    ``batch_format="pyarrow"``, Arrow tables). A part holds exactly that
+    side's rows in the bucket, with the side's own columns and types:
+    no bucket, marker or filler column. A side with no rows in the
+    bucket gets an empty part with its columns; a side with no rows at
+    all gets an empty part with no columns. ``fn`` returns one frame,
+    and the result has Arrow blocks.
+
+    Exchange layout: each block of side ``i`` is split into
+    ``n_buckets`` parts (rows with ``key mod n_buckets == b``, in block
+    order, empty ones included), each an Arrow IPC stream, shipped as
+    ``(bucket, side, rows, part)`` rows. Every side thus has one fixed
+    layout and the union needs no column alignment; the empty parts
+    carry each side's schema to every bucket."""
+    sides = [sides] if not isinstance(sides, (list, tuple)) else list(sides)
+
+    def split(t: pa.Table, side: int) -> pa.Table:
+        t = t.replace_schema_metadata(None)
+        b = np.mod(t[key].to_numpy(), n_buckets)
+        order = np.argsort(b, kind="stable")
+        t = t.take(order)
+        rows = np.bincount(b, minlength=n_buckets)
+        sink, offsets, start = pa.BufferOutputStream(), [0], 0
+        for end in np.cumsum(rows):
+            with pa.ipc.new_stream(sink, t.schema) as w:
+                w.write_table(t.slice(start, end - start))
+            offsets.append(sink.tell())
+            start = end
+        parts = pa.LargeBinaryArray.from_buffers(
+            pa.large_binary(),
+            n_buckets,
+            [None, pa.array(offsets, pa.int64()).buffers()[1], sink.getvalue()],
+        )
+        return pa.table(
+            {
+                "bucket": pa.array(np.arange(n_buckets, dtype=np.int64)),
+                "side": pa.array(np.full(n_buckets, side, np.int64)),
+                "rows": pa.array(rows, pa.int64()),
+                "part": parts,
+            }
+        )
+
+    def reduce(g: pa.Table) -> pa.Table:
+        if not pc.sum(g["rows"]).as_py():
+            return pa.table({})
+        frames = []
+        for i in range(len(sides)):
+            own = g.filter(pc.equal(g["side"], i))["part"]
+            tables = [pa.ipc.open_stream(p.as_buffer()).read_all() for p in own]
+            t = pa.concat_tables(tables or [pa.table({})], promote_options="permissive")
+            frames.append(t.to_pandas() if batch_format == "pandas" else t)
+        out = fn(*frames)
+        if not isinstance(out, pa.Table):
+            out = pa.Table.from_pandas(out, preserve_index=False)
+        # no pandas metadata: Ray cannot hash a schema that carries it
+        return out.replace_schema_metadata(None)
+
+    split_sides = [
+        ds.map_batches(split, batch_format="pyarrow", fn_args=(i,))
+        for i, ds in enumerate(sides)
+    ]
+    unioned = split_sides[0].union(*split_sides[1:]) if split_sides[1:] else split_sides[0]
+    return unioned.groupby("bucket").map_groups(reduce, batch_format="pyarrow")

@@ -96,11 +96,10 @@ def boilerplate_dedup_pipeline(sf_dir: str, min_docs: int = 3):
     end in SQL (lines rebuilt with ||, boilerplate df via
     COUNT(DISTINCT doc_id), cleaned text via ordered string_agg, dedup
     via GROUP BY cleaned text)."""
-    import numpy as np
     import pandas as pd
     import ray.data
 
-    from .dedup import coarse_buckets
+    from .agg import coarse_buckets, cogroup
     from .training import strip_boilerplate
 
     n_buckets = coarse_buckets(floor=256)  # content-key dedup buckets
@@ -113,7 +112,6 @@ def boilerplate_dedup_pipeline(sf_dir: str, min_docs: int = 3):
         c1, c2 = blake2b128_of_strings(t["text_clean"])
         return pa.table(
             {
-                "bucket": pa.array((c1 % n_buckets).astype(np.int64)),
                 "c1": pa.array(c1, pa.int64()),
                 "c2": pa.array(c2, pa.int64()),
                 "doc_id": t["doc_id"],
@@ -131,13 +129,7 @@ def boilerplate_dedup_pipeline(sf_dir: str, min_docs: int = 3):
             }
         )
 
-    return (
-        strip_boilerplate(ds, lines_for, min_docs)
-        .map_batches(content_key, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dedup_group, batch_format="pandas")
-        .map_batches(
-            lambda t: t.select(["doc_id", "is_canonical", "dup_group_size"]),
-            batch_format="pyarrow",
-        )
+    keyed = strip_boilerplate(ds, lines_for, min_docs).map_batches(
+        content_key, batch_format="pyarrow"
     )
+    return cogroup(keyed, "c1", n_buckets, dedup_group)

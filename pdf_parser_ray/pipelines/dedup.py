@@ -7,9 +7,9 @@ Scale shapes:
   only shuffle, over (key, id) pairs.
 - MinHash-LSH: per-batch shingle->signature->band keys (actor pool,
   hasher built once), explode to (band_key, doc_id) rows, groupby
-  band_key -> candidate pairs, distributed hash joins to co-shuffle
-  each pair with its two texts, exact-Jaccard verify per co-located
-  pair row, then distributed min-label propagation for clusters.
+  band_key -> candidate pairs, a co-group on doc_id (``agg.cogroup``)
+  that co-locates each pair with its two texts, exact-Jaccard verify
+  per co-located pair row, then star contraction for clusters.
   Nothing — corpus, candidates, or pair texts — ever materializes on
   the driver.
 - near-dup corpora for verification are synthesized deterministically
@@ -37,6 +37,7 @@ from ..functions.hashing import (
     jaccard,
     simhash64,
 )
+from .agg import coarse_buckets, cogroup
 from .textstats import TOKEN_RE
 from .extract_pipeline import actor_pool
 
@@ -366,21 +367,13 @@ def _bucket_candidate_pairs(
     return pd.DataFrame({"a": a_out, "b": b_out}).drop_duplicates()
 
 
-def _mod_bucket(col, n: int):
-    """x % n over an Arrow int column (pyarrow has no modulo kernel):
-    ``x - (x // n) * n`` with truncating division, so a negative ``x``
-    gives a remainder in ``(-n, 0]``."""
-    nn = pa.scalar(n, pa.int64())
-    return pc.subtract(col, pc.multiply(pc.divide(col, nn), nn))
-
-
 def _cogroup_pair_payloads(uniq_pairs, corpus_payloads, n_buckets: int | None = None):
     """Distributed reduce-side semi-join co-locating each candidate
     pair with BOTH payloads, without per-pair payload amplification.
 
     ``corpus_payloads`` is a Dataset of (doc_id, payload: binary).
-    Stage 1 co-shuffles pair sides + payloads by ``doc_id % n_buckets``;
-    the group reduce emits, per pair_bucket = f(a, b):
+    Stage 1 co-groups pair sides with payloads on ``doc_id``
+    (``agg.cogroup``); the bucket reduce emits, per pair_bucket = f(a, b):
     - one PAIR row (a, b) per candidate pair (from its a-side only)
     - one PAYLOAD row (doc_id, payload) per DISTINCT (doc, pair_bucket)
       — a hub document in P pairs ships at most min(P, n_buckets)
@@ -392,58 +385,32 @@ def _cogroup_pair_payloads(uniq_pairs, corpus_payloads, n_buckets: int | None = 
     n_buckets = coarse_buckets(n_buckets)
 
     def explode(t: pa.Table) -> pa.Table:
+        # one side row per pair endpoint: (doc_id, a, b)
         a = t["a"].combine_chunks()
         b = t["b"].combine_chunks()
-        doc = pa.concat_arrays([a, b])
         return pa.table(
             {
-                "bucket": _mod_bucket(doc, n_buckets).cast(pa.int32()),
-                "doc_id": doc,
+                "doc_id": pa.concat_arrays([a, b]),
                 "a": pa.concat_arrays([a, a]),
                 "b": pa.concat_arrays([b, b]),
-                "payload": pa.nulls(len(doc), pa.binary()),
             }
         )
 
-    def corpus_rows(t: pa.Table) -> pa.Table:
-        n = len(t)
-        return pa.table(
-            {
-                "bucket": _mod_bucket(
-                    t["doc_id"].combine_chunks(), n_buckets
-                ).cast(pa.int32()),
-                "doc_id": t["doc_id"],
-                "a": pa.nulls(n, pa.int64()),
-                "b": pa.nulls(n, pa.int64()),
-                "payload": t["payload"],
-            }
-        )
-
-    unioned = corpus_payloads.map_batches(
-        corpus_rows, batch_format="pyarrow"
-    ).union(uniq_pairs.map_batches(explode, batch_format="pyarrow"))
-
-    def attach(t: pa.Table) -> pa.Table:
-        # pyarrow group batch: the payload column passes through as a
+    def attach(tc: pa.Table, pr: pa.Table) -> pa.Table:
+        # pyarrow parts: the payload column passes through as a
         # zero-copy Arrow take — no bytes -> object -> bytes round-trip
-        # for the largest column in the plan (was pandas in r2/r3)
-        cmask = pc.is_null(t["a"])
-        tc = t.filter(cmask)  # corpus rows: (doc_id, payload)
-        pr = t.filter(pc.invert(cmask))  # pair side rows
-        trip = np.stack(
-            [
-                pr["a"].to_numpy(zero_copy_only=False).astype(np.int64),
-                pr["b"].to_numpy(zero_copy_only=False).astype(np.int64),
-                pr["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
-            ],
-            axis=1,
-        )
+        # for the largest column in the plan (was pandas in r2/r3).
         # candidate dedup happens HERE, locally: a pair surfacing from
         # several bands sends all its (a,b,doc_id) side copies to the
         # same doc bucket, so the local unique replaces a whole extra
         # all-to-all aggregate over the candidate set (measured ~35s of
         # remote wall at sf0.1 — the most expensive op in the r2 plan)
-        trip = np.unique(trip, axis=0) if len(trip) else trip.reshape(0, 3)
+        cols = [pr[c].to_numpy().astype(np.int64) for c in ("a", "b", "doc_id")]
+        trip = (
+            np.unique(np.stack(cols, axis=1), axis=0)
+            if pr.num_rows
+            else np.empty((0, 3), dtype=np.int64)
+        )
         side_a, side_b, side_doc = trip[:, 0], trip[:, 1], trip[:, 2]
         pair_bucket = (side_a * 1_000_003 + side_b) % n_buckets
         # pair rows: from the a-side only -> exactly once per pair
@@ -454,7 +421,11 @@ def _cogroup_pair_payloads(uniq_pairs, corpus_payloads, n_buckets: int | None = 
             if len(trip)
             else np.empty((0, 2), dtype=np.int64)
         )
-        cdoc = tc["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        cdoc = (
+            tc["doc_id"].to_numpy().astype(np.int64)
+            if tc.num_columns  # no columns: the corpus side is empty
+            else np.empty(0, dtype=np.int64)
+        )
         if len(cdoc):
             order = np.argsort(cdoc, kind="stable")
             ins = np.clip(
@@ -468,8 +439,10 @@ def _cogroup_pair_payloads(uniq_pairs, corpus_payloads, n_buckets: int | None = 
         else:
             dp = dp[:0]
             pos = np.empty(0, dtype=np.int64)
-        pay = tc["payload"].combine_chunks().take(
-            pa.array(pos, pa.int64())
+        pay = (
+            tc["payload"].combine_chunks().take(pa.array(pos, pa.int64()))
+            if tc.num_columns
+            else pa.array([], pa.binary())
         )
         n_pairs, n_pay = int(amask.sum()), len(dp)
         return pa.table(
@@ -501,7 +474,13 @@ def _cogroup_pair_payloads(uniq_pairs, corpus_payloads, n_buckets: int | None = 
             }
         )
 
-    return unioned.groupby("bucket").map_groups(attach, batch_format="pyarrow")
+    return cogroup(
+        [corpus_payloads, uniq_pairs.map_batches(explode, batch_format="pyarrow")],
+        "doc_id",
+        n_buckets,
+        attach,
+        batch_format="pyarrow",
+    )
 
 
 def _verify_pairs(sided, check_fn):
@@ -535,33 +514,6 @@ def _verify_pairs(sided, check_fn):
         )
 
     return sided.groupby("pair_bucket").map_groups(verify, batch_format="pyarrow")
-
-
-def _join_partitions(requested: int | None = None) -> int:
-    """Hash-join partition count sized to the cluster: every partition
-    holds an aggregator actor alive for the join's lifetime, and a
-    pipeline chains joins — oversizing DEADLOCKS small clusters (two
-    8-partition joins want 16 concurrent actors on a 4-CPU node). At
-    fleet scale pass ``requested`` ~ a small multiple of node count."""
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    cap = max(2, cpus // 4)
-    return min(requested, cap) if requested else cap
-
-
-def coarse_buckets(requested: int | None = None, per_cpu: int = 2, floor: int = 64) -> int:
-    """Coarse shuffle-bucket count sized to the cluster (``per_cpu``
-    groups per CPU so every reducer core stays busy, never below
-    ``floor`` so a skewed group stays bounded on tiny clusters). A
-    fixed 64 would cap reducer parallelism at 64 on any fleet; this is
-    the groupby-side analog of ``_join_partitions``."""
-    if requested:
-        return requested
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8))
-    return max(floor, per_cpu * cpus)
 
 
 def minhash_dup_pairs(sf_dir: str, threshold: float = 0.5, n_buckets: int | None = None):
@@ -920,7 +872,9 @@ _M1 = 0x9E3779B97F4A7C15
 _M2 = 0xC2B2AE3D27D4EB4F
 
 
-def _edge_hashes(t: pa.Table) -> pa.Table:
+def _edge_hash_sums(t: pa.Table) -> pa.Table:
+    """One row per batch: the edge count and the two 64-bit edge-hash
+    sums, each mod 2**64 (uint64 arithmetic wraps)."""
     u = t["u"].to_numpy(zero_copy_only=False).astype(np.uint64)
     v = t["v"].to_numpy(zero_copy_only=False).astype(np.uint64)
     with np.errstate(over="ignore"):
@@ -928,26 +882,21 @@ def _edge_hashes(t: pa.Table) -> pa.Table:
         h2 = (u * np.uint64(_M2 | 1)) ^ ((v + np.uint64(7)) * np.uint64(_M1))
     return pa.table(
         {
-            "h1": pa.array(h1.astype(np.int64)),
-            "h2": pa.array(h2.astype(np.int64)),
-            "one": pa.array(np.ones(len(u), np.int64)),
+            "n": pa.array([len(u)], pa.uint64()),
+            "h1": pa.array([h1.sum(dtype=np.uint64)], pa.uint64()),
+            "h2": pa.array([h2.sum(dtype=np.uint64)], pa.uint64()),
         }
     )
 
 
 def edge_signature(eds) -> tuple:
-    """(count, two 64-bit hash sums) of an (u, v) edge multiset. Ray's
-    ``Sum`` wraps inside a block (Arrow int64) but adds the per-block
-    results as Python ints, so each sum is reduced mod 2**64 to make the
-    signature depend on the edge set alone, not on the block split."""
-    from ray.data.aggregate import Sum
-
-    row = eds.map_batches(_edge_hashes, batch_format="pyarrow").aggregate(
-        Sum("one", alias_name="n"),
-        Sum("h1", alias_name="h1"),
-        Sum("h2", alias_name="h2"),
-    )
-    return tuple(row[k] % 2**64 for k in ("n", "h1", "h2"))
+    """(count, two 64-bit hash sums) of an (u, v) edge multiset, each
+    mod 2**64. The per-batch partials are folded on the driver (one
+    row per batch), not by a Ray ``Sum``: Ray adds per-block sums as
+    Python ints, and a total outside int64 makes it log an Arrow
+    conversion traceback before it falls back."""
+    rows = eds.map_batches(_edge_hash_sums, batch_format="pyarrow").take_all()
+    return tuple(sum(r[k] for r in rows) % 2**64 for k in ("n", "h1", "h2"))
 
 
 def star_contraction_clusters(pairs_ds, max_rounds: int = 30):
@@ -979,9 +928,6 @@ def star_contraction_clusters(pairs_ds, max_rounds: int = 30):
     exactly when the rounds do)."""
     import logging
 
-    import ray.data
-    from ray.data.aggregate import Count
-
     nb = coarse_buckets()
 
     edges = (
@@ -1000,24 +946,15 @@ def star_contraction_clusters(pairs_ds, max_rounds: int = 30):
     def large_pre(t: pa.Table) -> pa.Table:
         u = t["u"].combine_chunks()
         v = t["v"].combine_chunks()
-        node = pa.concat_arrays([u, v])
-        nbr = pa.concat_arrays([v, u])
         return pa.table(
-            {
-                "bucket": _mod_bucket(node, nb).cast(pa.int32()),
-                "node": node,
-                "nbr": nbr,
-            }
+            {"node": pa.concat_arrays([u, v]), "nbr": pa.concat_arrays([v, u])}
         )
 
     def small_pre(t: pa.Table) -> pa.Table:
-        hi = pc.max_element_wise(t["u"], t["v"])
-        lo = pc.min_element_wise(t["u"], t["v"])
         return pa.table(
             {
-                "bucket": _mod_bucket(hi, nb).cast(pa.int32()),
-                "node": hi,
-                "nbr": lo,
+                "node": pc.max_element_wise(t["u"], t["v"]),
+                "nbr": pc.min_element_wise(t["u"], t["v"]),
             }
         )
 
@@ -1048,13 +985,9 @@ def star_contraction_clusters(pairs_ds, max_rounds: int = 30):
         return pd.concat([nbr_edges, self_edges], ignore_index=True)
 
     def half_round(eds, pre, reduce_fn):
-        return (
-            eds.map_batches(pre, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(reduce_fn, batch_format="pandas")
-            .map_batches(lambda t: t, batch_format="pyarrow")
-            .materialize()
-        )
+        return cogroup(
+            eds.map_batches(pre, batch_format="pyarrow"), "node", nb, reduce_fn
+        ).materialize()
 
     prev_sig = None
     rounds = 0
@@ -1075,28 +1008,21 @@ def star_contraction_clusters(pairs_ds, max_rounds: int = 30):
         "star contraction converged in %d round(s)", rounds
     )
 
-    # fixpoint edges are stars (member u -> component-min v); distinct
-    # them (multiset multiplicities are an artifact of group fan-in)
-    # and add the root rows (every root came from an edge => size > 1)
-    members = (
-        edges.groupby(["u", "v"])
-        .aggregate(Count(alias_name="_n"))
-        .map_batches(
-            lambda t: pa.table({"doc_id": t["u"], "cluster_id": t["v"]}),
-            batch_format="pyarrow",
+    # fixpoint edges are stars (member u -> component-min v); co-group
+    # them on the root, distinct them (multiset multiplicities are an
+    # artifact of group fan-in) and add the root rows (every root came
+    # from an edge => size > 1)
+    def stars(e: pd.DataFrame) -> pd.DataFrame:
+        e = e.drop_duplicates()
+        roots = e["v"].drop_duplicates().to_numpy()
+        return pd.DataFrame(
+            {
+                "doc_id": np.concatenate([e["u"].to_numpy(), roots]).astype(np.int64),
+                "cluster_id": np.concatenate([e["v"].to_numpy(), roots]).astype(np.int64),
+            }
         )
-    )
-    roots = (
-        edges.groupby("v")
-        .aggregate(Count(alias_name="_n"))
-        .map_batches(
-            lambda t: pa.table({"doc_id": t["v"], "cluster_id": t["v"]}),
-            batch_format="pyarrow",
-        )
-    )
-    return members.union(roots).map_batches(
-        lambda t: t, batch_format="pyarrow"
-    )
+
+    return cogroup(edges, "v", nb, stars)
 
 
 def dedup_clusters(sf_dir: str, threshold: float = 0.999):
@@ -1204,42 +1130,21 @@ def near_dedup_survivors(sf_dir: str, threshold: float = 0.5, n_buckets: int | N
     would actually read.
 
     Shape: pairs come from ``minhash_dup_pairs`` (fully distributed,
-    see its docstring); removal is a co-shuffled reduce-side ANTI-join
-    (the customers_no_orders pattern): corpus id rows and pair-derived
-    removal markers share one coarse-bucket exchange, a vectorized
-    isin inside each bucket group keeps the non-removed ids. The
-    removal set is pair-derived and corpus-growing, so it is NEVER
-    broadcast or driver-resident."""
-    import pyarrow.compute as pc
-
+    see its docstring); removal is a reduce-side ANTI-join (the
+    customers_no_orders pattern): corpus ids and the distinct removed
+    ids co-group on doc_id (``agg.cogroup``), a vectorized isin inside
+    each bucket group keeps the non-removed ids. The removal set is
+    pair-derived and corpus-growing, so it is NEVER broadcast or
+    driver-resident."""
     pairs = minhash_dup_pairs(sf_dir, threshold, n_buckets)
-    nb = _join_partitions(n_buckets)
+    # in-batch dedup: only distinct removed ids ride the shuffle
+    removed = pairs.map_batches(
+        lambda t: pa.table({"doc_id": pc.unique(pc.cast(t["b"], pa.int64()))}),
+        batch_format="pyarrow",
+    )
 
-    def corpus_side(t: pa.Table) -> pa.Table:
-        k = pc.cast(t["doc_id"], pa.int64())
-        return pa.table(
-            {
-                "bucket": _mod_bucket(k, nb),
-                "key": k,
-                "is_removed": pa.array(np.zeros(len(k), np.int64)),
-            }
-        )
-
-    def removed_side(t: pa.Table) -> pa.Table:
-        # in-batch dedup: only distinct removed ids ride the shuffle
-        k = pc.cast(t["b"], pa.int64()).unique()
-        return pa.table(
-            {
-                "bucket": _mod_bucket(k, nb),
-                "key": k,
-                "is_removed": pa.array(np.ones(len(k), np.int64)),
-            }
-        )
-
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
-        removed = g.loc[g["is_removed"] == 1, "key"].unique()
-        keep = g.loc[g["is_removed"] == 0, "key"]
-        keep = keep[~keep.isin(removed)]
+    def anti(ids: pd.DataFrame, gone: pd.DataFrame) -> pd.DataFrame:
+        keep = ids["doc_id"][~ids["doc_id"].isin(gone.get("doc_id", ()))]
         return pd.DataFrame({"doc_id": keep.astype("int64").to_numpy()})
 
     def corpus_ids(t: pa.Table) -> pa.Table:
@@ -1256,10 +1161,4 @@ def near_dedup_survivors(sf_dir: str, threshold: float = 0.5, n_buckets: int | N
     ids = ray.data.read_parquet(
         _p(sf_dir, "documents"), columns=["doc_id"]
     ).map_batches(corpus_ids, batch_format="pyarrow")
-    return (
-        ids.map_batches(corpus_side, batch_format="pyarrow")
-        .union(pairs.map_batches(removed_side, batch_format="pyarrow"))
-        .map_batches(lambda t: t, batch_format="pyarrow")  # normalize blocks
-        .groupby("bucket")
-        .map_groups(anti, batch_format="pandas")
-    )
+    return cogroup([ids, removed], "doc_id", coarse_buckets(n_buckets), anti)

@@ -11,8 +11,8 @@ Scale notes:
   are not associative).
 - Joins broadcast the small side (dimension dicts via closure capture —
   Ray ships the UDF once per task; for bigger dims use ray.put + get in
-  actor ``__init__``). Both-large joins: hash-bucket both sides on the
-  key and join per bucket (not needed by any current query).
+  actor ``__init__``). Both-large joins and per-user windows co-group
+  their sides on the key (``agg.cogroup``) and work per bucket.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .agg import two_phase_agg
-from .dedup import _mod_bucket
+from .agg import cogroup, mod_bucket, two_phase_agg
 
 
 # version key for the /tmp JSONL/CSV export caches: bump when the
@@ -234,25 +233,18 @@ def events_minmax(sf_dir: str):
     )
 
 
+# Coarsened user shuffle: the per-user windows co-group on user_id %
+# USER_BUCKETS, so ~n_users/64 users share one distributed group and
+# the window runs as ONE vectorized pandas groupby inside it — millions
+# of distinct users never become millions of per-user Python calls.
+# At fleet scale raise it with cluster size; a skewed single user stays
+# bounded because its events fit one group or the window is meaningless.
 USER_BUCKETS = 64
-
-
-def _with_user_bucket(t: pa.Table) -> pa.Table:
-    """Coarsened shuffle key: user_id % USER_BUCKETS. The groupby then
-    co-locates ~n_users/64 users per distributed group and the window
-    runs as ONE vectorized pandas groupby inside each — millions of
-    distinct users never become millions of per-user Python calls
-    (the per-distinct-key anti-pattern). At fleet scale raise
-    USER_BUCKETS with cluster size; skewed single users stay bounded
-    because a user's events always fit one group's worth of memory or
-    the window itself is meaningless."""
-    b = _mod_bucket(t["user_id"].combine_chunks(), USER_BUCKETS)
-    return t.append_column("bucket", b.cast(pa.int32()))
 
 
 def events_running(sf_dir: str):
     """Ordered window function: per-user running event number by
-    (ts, event_id). Bucket-coarsened shuffle (see _with_user_bucket);
+    (ts, event_id). Bucket-coarsened co-group (see USER_BUCKETS);
     the window itself is a vectorized sort + groupby-cumcount over the
     whole bucket — the engine's general recipe for ROW_NUMBER/LAG/
     cumulative windows."""
@@ -271,11 +263,7 @@ def events_running(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(_with_user_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(window, batch_format="pandas")
-    )
+    return cogroup(ds, "user_id", USER_BUCKETS, window)
 
 
 def sessions_per_user(sf_dir: str, gap_sec: int = 1800):
@@ -303,11 +291,7 @@ def sessions_per_user(sf_dir: str, gap_sec: int = 1800):
             }
         )
 
-    return (
-        ds.map_batches(_with_user_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(sessions, batch_format="pandas")
-    )
+    return cogroup(ds, "user_id", USER_BUCKETS, sessions)
 
 
 def events_props_agg(sf_dir: str):
@@ -378,11 +362,8 @@ def events_asof_join(sf_dir: str, left_type: str = "click", right_type: str = "v
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .map_batches(_with_user_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(asof, batch_format="pandas")
+    return cogroup(
+        ds.map_batches(prep, batch_format="pyarrow"), "user_id", USER_BUCKETS, asof
     )
 
 
@@ -505,7 +486,7 @@ def sample_10pct(sf_dir: str):
     ds = ray.data.read_parquet(_p(sf_dir, "documents"), columns=["doc_id", "lang"])
 
     def pick(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(_mod_bucket(t["doc_id"], 10), 0))
+        return t.filter(pc.equal(mod_bucket(t["doc_id"], 10), 0))
 
     return ds.map_batches(pick, batch_format="pyarrow")
 
@@ -808,71 +789,44 @@ def events_lag_delta(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(_with_user_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(window, batch_format="pandas")
-    )
+    return cogroup(ds, "user_id", USER_BUCKETS, window)
 
 
 def customers_no_orders(sf_dir: str):
     """ANTI-join: per market segment, total customers and how many
     placed NO orders (never-empty result even when the anti side is
-    empty, as it is on this data). Co-shuffled reduce-side anti-join
-    (the dedup-family pattern): customer rows and order-custkey marker
-    rows share one coarse-bucket exchange; inside a bucket group a
-    vectorized isin flags customers with a marker. No broadcast (the
+    empty, as it is on this data). Reduce-side anti-join: customer
+    rows and distinct order custkeys co-group on custkey
+    (``agg.cogroup``); inside a bucket group a vectorized isin flags
+    the customers that ordered. No broadcast (the
     order-key side is corpus-sized at fleet scale) and no
     ``Dataset.join`` (anti isn't a supported join type, and sparse key
     sides hit its empty-partition aggregator trap)."""
     import ray.data
     from ray.data.aggregate import Sum
 
-    n_buckets = 64
     cust = ray.data.read_parquet(
         _p(sf_dir, "customer"), columns=["c_custkey", "c_mktsegment"]
     )
-    orders = ray.data.read_parquet(_p(sf_dir, "orders"), columns=["o_custkey"])
+    # in-batch dedup: only distinct custkeys ride the shuffle
+    order_keys = ray.data.read_parquet(
+        _p(sf_dir, "orders"), columns=["o_custkey"]
+    ).map_batches(
+        lambda t: pa.table({"c_custkey": pc.unique(t["o_custkey"])}),
+        batch_format="pyarrow",
+    )
 
-    def cust_side(t: pa.Table) -> pa.Table:
-        k = pc.cast(t["c_custkey"], pa.int64())
-        return pa.table(
-            {
-                "bucket": _mod_bucket(k, n_buckets),
-                "key": k,
-                "c_mktsegment": t["c_mktsegment"],
-                "is_order": pa.array(np.zeros(len(t), np.int64)),
-            }
-        )
-
-    def order_side(t: pa.Table) -> pa.Table:
-        # in-batch dedup: only distinct custkeys ride the shuffle
-        k = pc.cast(t["o_custkey"], pa.int64()).unique()
-        return pa.table(
-            {
-                "bucket": _mod_bucket(k, n_buckets),
-                "key": k,
-                "c_mktsegment": pa.array([""] * len(k), pa.string()),
-                "is_order": pa.array(np.ones(len(k), np.int64)),
-            }
-        )
-
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
-        with_orders = g.loc[g["is_order"] == 1, "key"].unique()
-        custs = g[g["is_order"] == 0].copy()
-        custs["lone"] = (~custs["key"].isin(with_orders)).astype("int64")
+    def anti(custs: pd.DataFrame, ordered: pd.DataFrame) -> pd.DataFrame:
+        lone = ~custs["c_custkey"].isin(ordered.get("c_custkey", ()))
+        custs = custs.assign(lone=lone.astype("int64"))
         out = custs.groupby("c_mktsegment", as_index=False).agg(
-            n_customers=("key", "size"), n_without_orders=("lone", "sum")
+            n_customers=("c_custkey", "size"), n_without_orders=("lone", "sum")
         )
         out["n_customers"] = out["n_customers"].astype("int64")
         return out
 
     return (
-        cust.map_batches(cust_side, batch_format="pyarrow")
-        .union(orders.map_batches(order_side, batch_format="pyarrow"))
-        .map_batches(lambda t: t, batch_format="pyarrow")  # normalize blocks
-        .groupby("bucket")
-        .map_groups(anti, batch_format="pandas")
+        cogroup([cust, order_keys], "c_custkey", 64, anti)
         .groupby("c_mktsegment")
         .aggregate(
             Sum("n_customers", alias_name="n_customers"),
@@ -946,13 +900,7 @@ def link_pagerank(sf_dir: str, n_iter: int = 3):
         share = r // 2
         dst = np.concatenate([(v * 7 + 1) % n_docs, (v * 13 + 2) % n_docs, v])
         val = np.concatenate([share, share, np.zeros(len(v), np.int64)])
-        return pa.table(
-            {
-                "bucket": pa.array(dst % n_buckets),
-                "v": pa.array(dst),
-                "c": pa.array(val),
-            }
-        )
+        return pa.table({"v": pa.array(dst), "c": pa.array(val)})
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         s = g.groupby("v", as_index=False)["c"].sum()
@@ -966,11 +914,8 @@ def link_pagerank(sf_dir: str, n_iter: int = 3):
         )
 
     for _ in range(n_iter):
-        ranks = (
-            ranks.map_batches(contribute, batch_format="pyarrow")
-            .groupby("bucket")
-            .map_groups(fold, batch_format="pandas")
-            .map_batches(lambda t: t, batch_format="pyarrow")
+        ranks = cogroup(
+            ranks.map_batches(contribute, batch_format="pyarrow"), "v", n_buckets, fold
         )
 
     return ranks.map_batches(
@@ -1007,9 +952,8 @@ def events_rolling_sum(sf_dir: str, window: int = 3):
         _p(sf_dir, "events"), columns=["event_id", "user_id", "ts", "value"]
     )
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        t = t.append_column("value_cents", _cents(t["value"])).drop(["value"])
-        return _with_user_bucket(t)
+    def add_cents(t: pa.Table) -> pa.Table:
+        return t.append_column("value_cents", _cents(t["value"])).drop(["value"])
 
     def roll(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -1027,10 +971,8 @@ def events_rolling_sum(sf_dir: str, window: int = 3):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(roll, batch_format="pandas")
+    return cogroup(
+        ds.map_batches(add_cents, batch_format="pyarrow"), "user_id", USER_BUCKETS, roll
     )
 
 
@@ -1050,7 +992,7 @@ def events_federated_agg(sf_dir: str):
 
     def arm(t: pa.Table, residue: int, cents_col) -> pa.Table:
         eid = pc.cast(t["event_id"], pa.int64())
-        keep = pc.equal(_mod_bucket(eid, 3), pa.scalar(residue))
+        keep = pc.equal(mod_bucket(eid, 3), pa.scalar(residue))
         t = pa.table(
             {"event_id": eid, "event_type": t["event_type"], "value_cents": cents_col(t)}
         ).filter(keep)
@@ -1212,11 +1154,8 @@ def events_interval_join(
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .map_batches(_with_user_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(band, batch_format="pandas")
+    return cogroup(
+        ds.map_batches(prep, batch_format="pyarrow"), "user_id", USER_BUCKETS, band
     )
 
 
@@ -1226,8 +1165,8 @@ def revenue_by_priority(sf_dir: str):
     scalable way. Lineitem folds to one (orderkey, revenue_cents)
     partial per key per batch BEFORE any exchange (the join then
     moves per-key partials, ~4x smaller than raw lineitem and
-    independent of lines-per-order skew); both sides share ONE
-    coarse-bucket shuffle; inside each bucket a vectorized merge +
+    independent of lines-per-order skew); both sides co-group on
+    orderkey (``agg.cogroup``); inside each bucket a vectorized merge +
     per-priority partial keeps the final exchange at 5 rows.
 
     Revenue is integer cents of l_extendedprice * (1 - l_discount),
@@ -1235,8 +1174,6 @@ def revenue_by_priority(sf_dir: str):
     bit-exact against the SQL oracle."""
     import ray.data
     from ray.data.aggregate import Sum
-
-    n_buckets = 64
 
     li = ray.data.read_parquet(
         _p(sf_dir, "lineitem"),
@@ -1246,7 +1183,7 @@ def revenue_by_priority(sf_dir: str):
         _p(sf_dir, "orders"), columns=["o_orderkey", "o_orderpriority"]
     )
 
-    def li_side(t: pa.Table) -> pa.Table:
+    def li_partial(t: pa.Table) -> pa.Table:
         k = t["l_orderkey"].to_numpy(zero_copy_only=False)
         ep = t["l_extendedprice"].to_numpy(zero_copy_only=False)
         d = t["l_discount"].to_numpy(zero_copy_only=False)
@@ -1256,46 +1193,31 @@ def revenue_by_priority(sf_dir: str):
         np.add.at(acc, inv, rev)
         return pa.table(
             {
-                "bucket": pa.array((uk % n_buckets).astype(np.int32)),
-                "key": pa.array(uk, pa.int64()),
-                "o_orderpriority": pa.array([""] * len(uk), pa.string()),
+                "o_orderkey": pa.array(uk, pa.int64()),
                 "rev_cents": pa.array(acc, pa.int64()),
-                "is_order": pa.array(np.zeros(len(uk), np.int64)),
             }
         )
 
-    def order_side(t: pa.Table) -> pa.Table:
-        k = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "bucket": pa.array((k % n_buckets).astype(np.int32)),
-                "key": pa.array(k, pa.int64()),
-                "o_orderpriority": t["o_orderpriority"],
-                "rev_cents": pa.array(np.zeros(len(k), np.int64)),
-                "is_order": pa.array(np.ones(len(k), np.int64)),
-            }
-        )
-
-    def join(g: pd.DataFrame) -> pd.DataFrame:
-        li_part = (
-            g[g["is_order"] == 0]
-            .groupby("key", as_index=False)["rev_cents"]
-            .sum()  # partials for the same orderkey from several batches
-        )
-        od = g.loc[g["is_order"] == 1, ["key", "o_orderpriority"]]
-        m = od.merge(li_part, on="key")
+    def join(lines: pd.DataFrame, od: pd.DataFrame) -> pd.DataFrame:
+        # an empty table arrives without columns; partials for the same
+        # orderkey come from several batches
+        lines = lines.reindex(columns=["o_orderkey", "rev_cents"])
+        lines = lines.groupby("o_orderkey", as_index=False)["rev_cents"].sum()
+        od = od.reindex(columns=["o_orderkey", "o_orderpriority"])
+        m = od.merge(lines, on="o_orderkey")
         out = m.groupby("o_orderpriority", as_index=False).agg(
-            n_orders=("key", "size"), revenue_cents=("rev_cents", "sum")
+            n_orders=("o_orderkey", "size"), revenue_cents=("rev_cents", "sum")
         )
         out["n_orders"] = out["n_orders"].astype("int64")
         return out
 
     return (
-        li.map_batches(li_side, batch_format="pyarrow")
-        .union(orders.map_batches(order_side, batch_format="pyarrow"))
-        .map_batches(lambda t: t, batch_format="pyarrow")  # normalize blocks
-        .groupby("bucket")
-        .map_groups(join, batch_format="pandas")
+        cogroup(
+            [li.map_batches(li_partial, batch_format="pyarrow"), orders],
+            "o_orderkey",
+            64,
+            join,
+        )
         .groupby("o_orderpriority")
         .aggregate(
             Sum("n_orders", alias_name="n_orders"),
@@ -1361,10 +1283,9 @@ def funnel_counts(sf_dir: str, stages=FUNNEL_STAGES):
         )
 
     return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .map_batches(_with_user_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(funnel, batch_format="pandas")
+        cogroup(
+            ds.map_batches(prep, batch_format="pyarrow"), "user_id", USER_BUCKETS, funnel
+        )
         .groupby(["stage_idx", "stage"])
         .aggregate(Sum("n_users", alias_name="n_users"))
     )
@@ -1477,7 +1398,6 @@ def orders_cdc_upsert(sf_dir: str, n_buckets: int = 64):
         )
         return pa.table(
             {
-                "bucket": pa.array((keys % n_buckets).astype(np.int32)),
                 "o_orderkey": pa.array(keys, pa.int64()),
                 "total_cents": pa.array(vals, pa.int64()),
                 "version": pa.array(vers, pa.int64()),
@@ -1493,10 +1413,8 @@ def orders_cdc_upsert(sf_dir: str, n_buckets: int = 64):
             drop=True
         )
 
-    return (
-        ds.map_batches(emit_log, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(resolve, batch_format="pandas")
+    return cogroup(
+        ds.map_batches(emit_log, batch_format="pyarrow"), "o_orderkey", n_buckets, resolve
     )
 
 
@@ -1575,9 +1493,9 @@ def snapshot_diff(sf_dir: str, n_buckets: int = 64):
     and % 19 == 0 rows spawn a brand-new doc at doc_id + offset (added),
     offset = max(SNAPSHOT_ADD_OFFSET, max(doc_id) + 1).
 
-    Shape: both sides fold to (bucket, doc_id, side, text_hash) rows
-    — the text itself never crosses the exchange — then ONE
-    coarse-bucket shuffle and a vectorized per-bucket outer-compare.
+    Shape: both sides fold to (doc_id, side, text_hash) rows — the
+    text itself never crosses the exchange — then ONE co-group on
+    doc_id (``agg.cogroup``) and a vectorized per-bucket outer-compare.
     Unchanged keys are dropped in-bucket, so the output is delta-sized
     regardless of corpus size."""
     import ray.data
@@ -1631,7 +1549,6 @@ def snapshot_diff(sf_dir: str, n_buckets: int = 64):
         k = np.concatenate(keys)
         return pa.table(
             {
-                "bucket": pa.array((k % n_buckets).astype(np.int32)),
                 "doc_id": pa.array(k, pa.int64()),
                 "side": pa.array(np.concatenate(sides), pa.int64()),
                 "h": pa.array(np.concatenate(hashes), pa.int64()),
@@ -1660,8 +1577,6 @@ def snapshot_diff(sf_dir: str, n_buckets: int = 64):
             }
         )
 
-    return (
-        ds.map_batches(emit_sides, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(classify, batch_format="pandas")
+    return cogroup(
+        ds.map_batches(emit_sides, batch_format="pyarrow"), "doc_id", n_buckets, classify
     )

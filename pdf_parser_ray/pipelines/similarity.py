@@ -475,11 +475,11 @@ def lsh_bucketed_dup_pairs(sf_dir: str, threshold: float = 0.999, n_tables: int 
     no corpus-sized object-store pin (see pipelines/staging.py)."""
     import ray.data
 
+    from .agg import coarse_buckets
     from .dedup import (
         _bucket_candidate_pairs,
         _cogroup_pair_payloads,
         _verify_pairs,
-        coarse_buckets as _coarse_buckets,
     )
 
     base = _staged_noisy_corpus(sf_dir)
@@ -495,7 +495,7 @@ def lsh_bucketed_dup_pairs(sf_dir: str, threshold: float = 0.999, n_tables: int 
             HyperplaneBucketizer,
             batch_format="pyarrow",
             **actor_pool(),
-            fn_constructor_args=(n_tables, n_bits, seed, _coarse_buckets()),
+            fn_constructor_args=(n_tables, n_bits, seed, coarse_buckets()),
         )
         .groupby("shuffle_bucket")
         .map_groups(

@@ -34,8 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .agg import two_phase_agg
-from .dedup import _mod_bucket
+from .agg import coarse_buckets, cogroup, mod_bucket, two_phase_agg
 from .extract_pipeline import actor_pool
 from .textstats import TOKEN_RE, documents_path
 
@@ -363,8 +362,8 @@ def dup_ngram_mass(sf_dir: str, n: int = 8):
     number of n-gram positions whose n-gram also occurs in at least
     one OTHER document.
 
-    ONE full-size exchange on a COARSE bucket of the gram hash: the
-    bucket key depends only on g1, so every (gram, doc) row of a gram
+    ONE full-size exchange, a 1024-bucket ``agg.cogroup`` on the gram
+    hash: the bucket key depends only on g1, so every (gram, doc) row of a gram
     co-locates and the dup test (group size >= 2 — rows are already
     distinct per (gram, doc)) runs INSIDE the bucket group as a
     vectorized pandas transform, collapsing straight to per-doc
@@ -377,27 +376,19 @@ def dup_ngram_mass(sf_dir: str, n: int = 8):
     second exchange folds per-doc partials over 256 doc buckets."""
     import ray.data
 
-    from .dedup import coarse_buckets
-
     n_buckets = 1024
     n_doc_buckets = coarse_buckets(floor=256)
     ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
 
-    def add_bucket(t: pa.Table) -> pa.Table:
-        b = _mod_bucket(t["g1"], n_buckets)
-        return t.append_column("bucket", pc.cast(b, pa.int64()))
-
     emitted = ds.map_batches(
         lambda b, _n=n: NGramEmitter(_n)(b),
         batch_format="pyarrow",
-    ).map_batches(add_bucket, batch_format="pyarrow")
+    )
 
     def filter_dup(g: pd.DataFrame) -> pd.DataFrame:
         n_docs = g.groupby(["g1", "g2"], sort=False)["doc_id"].transform("size")
         hit = g.loc[n_docs.to_numpy() >= 2, ["doc_id", "c"]]
-        out = hit.groupby("doc_id", as_index=False)["c"].sum()
-        out["dbucket"] = out["doc_id"] % n_doc_buckets
-        return out
+        return hit.groupby("doc_id", as_index=False)["c"].sum()
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("doc_id", as_index=False)["c"].sum()
@@ -408,16 +399,8 @@ def dup_ngram_mass(sf_dir: str, n: int = 8):
             }
         )
 
-    return (
-        emitted.groupby("bucket")
-        .map_groups(filter_dup, batch_format="pandas")
-        .map_batches(lambda t: t, batch_format="pyarrow")  # normalize blocks
-        .groupby("dbucket")
-        .map_groups(fold, batch_format="pandas")
-        .map_batches(
-            lambda t: t.select(["doc_id", "n_dup_grams"]), batch_format="pyarrow"
-        )
-    )
+    partials = cogroup(emitted, "g1", n_buckets, filter_dup)
+    return cogroup(partials, "doc_id", n_doc_buckets, fold)
 
 
 # -- benchmark decontamination ----------------------------------------------
@@ -450,7 +433,7 @@ def decontaminate(sf_dir: str, n: int = 8):
     # (doc_id, text) read
     def _slice(is_eval: bool):
         def f(t: pa.Table) -> pa.Table:
-            m = pc.equal(_mod_bucket(t["doc_id"], 41), pa.scalar(0, pa.int64()))
+            m = pc.equal(mod_bucket(t["doc_id"], 41), pa.scalar(0, pa.int64()))
             return t.filter(m if is_eval else pc.invert(m))
 
         return f
@@ -620,11 +603,12 @@ def tfidf_top_terms(sf_dir: str, k: int = 3):
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(score_group, batch_format="pandas")
-        .map_batches(local_topk, batch_format="pandas")
-        .map_batches(lambda t: t, batch_format="pyarrow")  # normalize blocks
+        cogroup(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            "bucket",
+            n_buckets,
+            lambda g: local_topk(score_group(g)),
+        )
         .groupby("doc_id")
         .map_groups(final_topk, batch_format="pandas")
     )
@@ -875,9 +859,8 @@ def rare_token_mass(sf_dir: str, threshold: int = 5):
     2. in-group (pandas): tf = transform-sum per word; rows of words
        with tf < threshold reduce to per-doc rare-count partials
        (doc_id, n_rare_part) — int pairs only from here on;
-    3. per-doc totals ride a second coarse exchange keyed by
-       ``doc_id % n_doc_buckets`` together with the rare partials
-       (the union-co-group shape of line_dedup/dedup), summing to
+    3. per-doc totals co-group with the rare partials on doc_id
+       (``agg.cogroup``, the shape of line_dedup/dedup), summing to
        (doc_id, n_tokens, n_rare).
 
     This is tfidf_top_terms' word-bucket shape with a doc-bucket
@@ -890,7 +873,6 @@ def rare_token_mass(sf_dir: str, threshold: int = 5):
     import ray.data
 
     from ..functions.hashing import fnv1a64_of_strings
-    from .dedup import coarse_buckets
 
     n_word_buckets = 1024  # uniform under word hashing; ~|vocab|/1024 per group
     n_doc_buckets = coarse_buckets()
@@ -934,64 +916,43 @@ def rare_token_mass(sf_dir: str, threshold: int = 5):
 
     def rare_partials(g: pd.DataFrame) -> pd.DataFrame:
         tf = g.groupby("word")["cnt"].transform("sum")
-        rare = (
-            g[tf < threshold]
-            .groupby("doc_id", as_index=False)["cnt"]
-            .sum()
-        )
+        rare = g[tf < threshold].groupby("doc_id", as_index=False)["cnt"].sum()
         return pd.DataFrame(
             {
                 "doc_id": rare["doc_id"].astype("int64"),
-                "n_tokens": pd.Series(
-                    np.zeros(len(rare), dtype=np.int64)
-                ),
                 "n_rare": rare["cnt"].astype("int64"),
             }
         )
 
-    rare_parts = (
-        injected.map_batches(word_doc_counts, batch_format="pyarrow")
-        .groupby("wb")
-        .map_groups(rare_partials, batch_format="pandas")
+    rare_parts = cogroup(
+        injected.map_batches(word_doc_counts, batch_format="pyarrow"),
+        "wb",
+        n_word_buckets,
+        rare_partials,
     )
 
-    def doc_totals(batch: pa.Table) -> pd.DataFrame:
-        ids, n_toks = [], []
-        for doc_id, t in zip(
-            batch["doc_id"].to_pylist(), batch["text"].to_pylist()
-        ):
-            ids.append(doc_id)
-            n_toks.append(len(word_re.findall(t)))
-        return pd.DataFrame(
-            {
-                "doc_id": pd.Series(ids, dtype="int64"),
-                "n_tokens": pd.Series(n_toks, dtype="int64"),
-                "n_rare": pd.Series(np.zeros(len(ids), dtype=np.int64)),
-            }
+    def doc_totals(batch: pa.Table) -> pa.Table:
+        n_toks = [len(word_re.findall(t)) for t in batch["text"].to_pylist()]
+        return pa.table(
+            {"doc_id": batch["doc_id"], "n_tokens": pa.array(n_toks, pa.int64())}
         )
 
-    def with_db(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.reset_index(drop=True)
-        df.insert(0, "db", (df["doc_id"] % n_doc_buckets).astype("int64"))
-        return df
+    def fold(totals: pd.DataFrame, rare: pd.DataFrame) -> pd.DataFrame:
+        out = (
+            pd.concat([totals, rare])
+            .fillna(0)
+            .reindex(columns=["doc_id", "n_tokens", "n_rare"], fill_value=0)
+            .groupby("doc_id", as_index=False)
+            .sum()
+        )
+        return out.astype("int64")
 
-    unioned = (
-        injected.map_batches(doc_totals, batch_format="pyarrow")
-        .map_batches(with_db, batch_format="pandas")
-        .union(rare_parts.map_batches(with_db, batch_format="pandas"))
+    return cogroup(
+        [injected.map_batches(doc_totals, batch_format="pyarrow"), rare_parts],
+        "doc_id",
+        n_doc_buckets,
+        fold,
     )
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("doc_id", as_index=False)[["n_tokens", "n_rare"]].sum()
-        return pd.DataFrame(
-            {
-                "doc_id": out["doc_id"].astype("int64"),
-                "n_tokens": out["n_tokens"].astype("int64"),
-                "n_rare": out["n_rare"].astype("int64"),
-            }
-        )
-
-    return unioned.groupby("db").map_groups(fold, batch_format="pandas")
 
 
 # -- cross-document line dedup (RefinedWeb/CCNet boilerplate removal) --------
@@ -1038,17 +999,15 @@ def strip_boilerplate(ds, lines_for, min_docs: int):
        via a local transform; occurrences of lines with
        df >= min_docs are BOILERPLATE SITES — emit (doc_id, line_idx)
        int pairs only.
-    3. union the boilerplate sites with the docs stream keyed by
-       ``doc_id % n_doc_buckets`` (the dedup._cogroup_pair_payloads
-       union-co-group shape: text rides this one exchange, once per
-       doc) and strip in-group: rebuild the doc's lines, drop the
-       flagged indices, emit (doc_id, n_lines, n_kept, text_clean).
+    3. co-group the docs with the boilerplate sites on doc_id
+       (``agg.cogroup``, the dedup._cogroup_pair_payloads shape: text
+       rides this one exchange, once per doc) and strip in-group:
+       rebuild the doc's lines, drop the flagged indices, emit
+       (doc_id, n_lines, n_kept, text_clean).
     """
     from ..functions.hashing import blake2b128_of_strings
-    from .dedup import coarse_buckets
 
-    n_hash_buckets = coarse_buckets()
-    n_doc_buckets = coarse_buckets()
+    n_buckets = coarse_buckets()
 
     def line_occurrences(batch: pa.Table) -> pa.Table:
         ids, idxs, lines = [], [], []
@@ -1062,9 +1021,6 @@ def strip_boilerplate(ds, lines_for, min_docs: int):
         h1, h2 = blake2b128_of_strings(pa.array(lines, pa.string()))
         return pa.table(
             {
-                "hb": pa.array(
-                    (h1 % n_hash_buckets).astype(np.int64), pa.int64()
-                ),
                 "h1": pa.array(h1, pa.int64()),
                 "h2": pa.array(h2, pa.int64()),
                 "doc_id": pa.array(ids, pa.int64()),
@@ -1082,51 +1038,13 @@ def strip_boilerplate(ds, lines_for, min_docs: int):
             }
         )
 
-    sites = (
-        ds.map_batches(line_occurrences, batch_format="pyarrow")
-        .groupby("hb")
-        .map_groups(boiler_sites, batch_format="pandas")
-    )
+    occurrences = ds.map_batches(line_occurrences, batch_format="pyarrow")
+    sites = cogroup(occurrences, "h1", n_buckets, boiler_sites)
 
-    # union-co-group by doc bucket: docs carry text (line_idx = -1
-    # marker), sites carry flagged line indices (text = None)
-    def site_rows(df: pd.DataFrame) -> pd.DataFrame:
-        # boiler_sites preserves the group's index; building a frame
-        # from these Series plus a RangeIndex Series would ALIGN on the
-        # index union and NaN-pad (the classic pandas alignment trap)
-        df = df.reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "db": (df["doc_id"] % n_doc_buckets).astype("int64"),
-                "doc_id": df["doc_id"].astype("int64"),
-                "line_idx": df["line_idx"].astype("int64"),
-                "text": pd.Series([None] * len(df), dtype="object"),
-            }
-        )
-
-    def doc_rows(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "db": (df["doc_id"] % n_doc_buckets).astype("int64"),
-                "doc_id": df["doc_id"].astype("int64"),
-                "line_idx": np.full(len(df), -1, dtype=np.int64),
-                "text": df["text"].astype("object"),
-            }
-        )
-
-    unioned = ds.map_batches(doc_rows, batch_format="pandas").union(
-        sites.map_batches(site_rows, batch_format="pandas")
-    )
-
-    def strip(g: pd.DataFrame) -> pd.DataFrame:
-        smask = g["line_idx"] >= 0
+    def strip(docs: pd.DataFrame, sites: pd.DataFrame) -> pd.DataFrame:
         removed: dict[int, set[int]] = {}
-        for d, i in zip(
-            g.loc[smask, "doc_id"].astype(int), g.loc[smask, "line_idx"].astype(int)
-        ):
-            removed.setdefault(d, set()).add(i)
-        docs = g[~smask]
+        for d, i in zip(sites.get("doc_id", ()), sites.get("line_idx", ())):
+            removed.setdefault(int(d), set()).add(int(i))
         ids, n_lines, n_kept, cleaned = [], [], [], []
         for doc_id, s in zip(docs["doc_id"].astype(int), docs["text"]):
             ls = lines_for(doc_id, s)
@@ -1145,7 +1063,7 @@ def strip_boilerplate(ds, lines_for, min_docs: int):
             }
         )
 
-    return unioned.groupby("db").map_groups(strip, batch_format="pandas")
+    return cogroup([ds, sites], "doc_id", n_buckets, strip)
 
 
 # -- unicode normalization (NFC + whitespace collapse) ------------------------
@@ -1172,7 +1090,7 @@ def normalize_text(sf_dir: str):
 
     def norm(t: pa.Table) -> pa.Table:
         ids = t["doc_id"]
-        digit = pc.cast(_mod_bucket(ids, 10), pa.string())
+        digit = pc.cast(mod_bucket(ids, 10), pa.string())
         injected = pc.binary_join_element_wise(
             pc.binary_join_element_wise(
                 t["text"], pa.scalar("caf" + "e" + "́" + "\t"), "  "
@@ -1248,8 +1166,7 @@ def bigram_lm_score(sf_dir: str, scale: int = 10**6):
     from ..functions.hashing import fnv1a64_of_strings
 
     n_buckets = 1024
-    from .dedup import coarse_buckets as _cb
-    n_doc_buckets = _cb(floor=256)
+    n_doc_buckets = coarse_buckets(floor=256)
     ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
     word_re = re.compile(TOKEN_RE)
 
@@ -1294,12 +1211,7 @@ def bigram_lm_score(sf_dir: str, scale: int = 10**6):
         out = pd.DataFrame(
             {"doc_id": g["doc_id"].to_numpy(np.int64), "s": s, "tf": tf}
         )
-        out = out.groupby("doc_id", as_index=False).sum()
-        # coarse re-key for the per-doc fold: Ray's native sort-agg
-        # over |docs| groups costs ~2x this whole plan; 256 bucket
-        # groups with a vectorized in-group sum is the cheap shape
-        out["dbucket"] = out["doc_id"] % n_doc_buckets
-        return out
+        return out.groupby("doc_id", as_index=False).sum()
 
     def final_bucket(g: pd.DataFrame) -> pd.DataFrame:
         out = g.groupby("doc_id", as_index=False)[["s", "tf"]].sum()
@@ -1311,18 +1223,12 @@ def bigram_lm_score(sf_dir: str, scale: int = 10**6):
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(score_bucket, batch_format="pandas")
-        .map_batches(lambda t: t, batch_format="pyarrow")  # normalize blocks
-        .groupby("dbucket")
-        .map_groups(final_bucket, batch_format="pandas")
-        .map_batches(
-            lambda t: t.select(["doc_id", "n_bigrams", "lm_score_scaled"]),
-            batch_format="pyarrow",
-        )
-    )
+    partials = ds.map_batches(partial, batch_format="pyarrow")
+    scored = cogroup(partials, "bucket", n_buckets, score_bucket)
+    # coarse re-key for the per-doc fold: Ray's native sort-agg over
+    # |docs| groups costs ~2x this whole plan; 256 bucket groups with a
+    # vectorized in-group sum is the cheap shape
+    return cogroup(scored, "doc_id", n_doc_buckets, final_bucket)
 
 
 # -- exact-substring span removal --------------------------------------------
@@ -1399,23 +1305,9 @@ def dup_span_removal(sf_dir: str, n: int = 8):
     n_buckets = 1024
     ds = ray.data.read_parquet(documents_path(sf_dir), columns=["doc_id", "text"])
 
-    def _bucket(t: pa.Table) -> pa.ChunkedArray:
-        return _mod_bucket(t["g1"], n_buckets)
-
-    def pos_side(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "bucket": pc.cast(_bucket(t), pa.int64()),
-                "g1": t["g1"],
-                "g2": t["g2"],
-                "doc_id": t["doc_id"],
-                "pos": t["pos"],
-            }
-        )
-
     positions = ds.map_batches(
         lambda b, _n=n: NGramPositionEmitter(_n)(b), batch_format="pyarrow"
-    ).map_batches(pos_side, batch_format="pyarrow")
+    )
 
     def filter_dup(g: pd.DataFrame) -> pd.DataFrame:
         n_docs = g.groupby(["g1", "g2"], sort=False)["doc_id"].transform(
@@ -1423,11 +1315,7 @@ def dup_span_removal(sf_dir: str, n: int = 8):
         )
         return g.loc[n_docs >= 2, ["doc_id", "pos"]]
 
-    joined = (
-        positions.groupby("bucket")
-        .map_groups(filter_dup, batch_format="pandas")
-        .map_batches(lambda t: t, batch_format="pyarrow")  # normalize blocks
-    )
+    joined = cogroup(positions, "g1", n_buckets, filter_dup)
 
     def merge_spans(g: pd.DataFrame) -> pd.DataFrame:
         p = np.sort(g["pos"].to_numpy(np.int64))

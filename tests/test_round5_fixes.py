@@ -92,6 +92,40 @@ def test_edge_signature_ignores_the_block_split(ray_session):
     assert edge_signature(ray.data.from_arrow(t.slice(1))) != one
 
 
+def test_edge_signature_sums_stay_in_int64(ray_session, monkeypatch):
+    """Edges whose signed 64-bit hash sums cross 2**63: the signature
+    equals the mod-2**64 sums computed in memory, and no Ray aggregate
+    runs (a Ray ``Sum`` whose cross-block total leaves int64 logs an
+    Arrow conversion traceback before it falls back)."""
+    import ray.data
+
+    from pdf_parser_ray.pipelines import dedup
+
+    def hashes(u: int, v: int) -> tuple[int, int]:
+        h1 = ((u * dedup._M1) ^ (v * dedup._M2)) % 2**64
+        h2 = ((u * (dedup._M2 | 1)) ^ ((v + 7) * dedup._M1)) % 2**64
+        return h1, h2
+
+    edges = [(u, u + 1) for u in range(10_000) if 2**62 < hashes(u, u + 1)[0] < 2**63][:4]
+    assert len(edges) == 4 and sum(hashes(u, v)[0] for u, v in edges) >= 2**63
+    want = (
+        4,
+        sum(hashes(u, v)[0] for u, v in edges) % 2**64,
+        sum(hashes(u, v)[1] for u, v in edges) % 2**64,
+    )
+
+    def no_ray_aggregate(*args, **kwargs):
+        raise AssertionError("edge_signature asked Ray for an aggregate")
+
+    monkeypatch.setattr(ray.data.Dataset, "aggregate", no_ray_aggregate)
+    monkeypatch.setattr(ray.data.Dataset, "sum", no_ray_aggregate)
+    blocks = [
+        pa.table({"u": pa.array([u], pa.int64()), "v": pa.array([v], pa.int64())})
+        for u, v in edges
+    ]
+    assert dedup.edge_signature(ray.data.from_arrow(blocks)) == want
+
+
 def test_dup_copy_mask_is_the_single_source():
     """with_mutated_copies must emit copies exactly where dup_copy_mask
     says (the survivor universe derives from the same mask)."""
