@@ -78,47 +78,46 @@ def cogroup(sides, key: str, n_buckets: int, fn, batch_format: str = "pandas"):
     ``batch_format="pyarrow"``, Arrow tables). A part holds exactly that
     side's rows in the bucket, with the side's own columns and types:
     no bucket, marker or filler column. A side with no rows in the
-    bucket gets an empty part with its columns; a side with no rows at
-    all gets an empty part with no columns. ``fn`` returns one frame,
-    and the result has Arrow blocks.
+    bucket gets an empty part with no columns, so ``fn`` reads a side
+    that may be missing with ``.get``, ``reindex`` or an emptiness
+    check. ``fn`` returns one frame, and the result has Arrow blocks.
 
-    Exchange layout: each block of side ``i`` is split into
-    ``n_buckets`` parts (rows with ``key mod n_buckets == b``, in block
-    order, empty ones included), each an Arrow IPC stream, shipped as
-    ``(bucket, side, rows, part)`` rows. Every side thus has one fixed
-    layout and the union needs no column alignment; the empty parts
-    carry each side's schema to every bucket."""
+    Exchange layout: each block of side ``i`` is split into one part
+    per bucket it holds rows of (those rows, in block order), each an
+    Arrow IPC stream, shipped as ``(bucket, side, part)`` rows. Every
+    side thus has one fixed layout and the union needs no column
+    alignment; the exchange carries at most one row per block and
+    bucket, and none for a bucket the block has no rows of."""
     sides = [sides] if not isinstance(sides, (list, tuple)) else list(sides)
+    layout = pa.schema(
+        [("bucket", pa.int64()), ("side", pa.int64()), ("part", pa.large_binary())]
+    )
 
     def split(t: pa.Table, side: int) -> pa.Table:
+        if not t.num_rows:  # an empty block may lack the key column
+            return layout.empty_table()
         t = t.replace_schema_metadata(None)
         b = np.mod(t[key].to_numpy(), n_buckets)
-        order = np.argsort(b, kind="stable")
-        t = t.take(order)
+        t = t.take(np.argsort(b, kind="stable"))
         rows = np.bincount(b, minlength=n_buckets)
-        sink, offsets, start = pa.BufferOutputStream(), [0], 0
-        for end in np.cumsum(rows):
+        held = np.flatnonzero(rows)
+        starts = np.cumsum(rows) - rows
+        sink, offsets = pa.BufferOutputStream(), [0]
+        for i in held:
             with pa.ipc.new_stream(sink, t.schema) as w:
-                w.write_table(t.slice(start, end - start))
+                w.write_table(t.slice(starts[i], rows[i]))
             offsets.append(sink.tell())
-            start = end
         parts = pa.LargeBinaryArray.from_buffers(
             pa.large_binary(),
-            n_buckets,
+            len(held),
             [None, pa.array(offsets, pa.int64()).buffers()[1], sink.getvalue()],
         )
         return pa.table(
-            {
-                "bucket": pa.array(np.arange(n_buckets, dtype=np.int64)),
-                "side": pa.array(np.full(n_buckets, side, np.int64)),
-                "rows": pa.array(rows, pa.int64()),
-                "part": parts,
-            }
+            [pa.array(held, pa.int64()), pa.array(np.full(len(held), side, np.int64)), parts],
+            schema=layout,
         )
 
     def reduce(g: pa.Table) -> pa.Table:
-        if not pc.sum(g["rows"]).as_py():
-            return pa.table({})
         frames = []
         for i in range(len(sides)):
             own = g.filter(pc.equal(g["side"], i))["part"]

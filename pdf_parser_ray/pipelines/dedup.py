@@ -405,12 +405,11 @@ def _cogroup_pair_payloads(uniq_pairs, corpus_payloads, n_buckets: int | None = 
         # same doc bucket, so the local unique replaces a whole extra
         # all-to-all aggregate over the candidate set (measured ~35s of
         # remote wall at sf0.1 — the most expensive op in the r2 plan)
-        cols = [pr[c].to_numpy().astype(np.int64) for c in ("a", "b", "doc_id")]
-        trip = (
-            np.unique(np.stack(cols, axis=1), axis=0)
-            if pr.num_rows
-            else np.empty((0, 3), dtype=np.int64)
-        )
+        # either side may be missing here (no columns)
+        trip = np.empty((0, 3), dtype=np.int64)
+        if pr.num_rows:
+            cols = [pr[c].to_numpy().astype(np.int64) for c in ("a", "b", "doc_id")]
+            trip = np.unique(np.stack(cols, axis=1), axis=0)
         side_a, side_b, side_doc = trip[:, 0], trip[:, 1], trip[:, 2]
         pair_bucket = (side_a * 1_000_003 + side_b) % n_buckets
         # pair rows: from the a-side only -> exactly once per pair
@@ -423,7 +422,7 @@ def _cogroup_pair_payloads(uniq_pairs, corpus_payloads, n_buckets: int | None = 
         )
         cdoc = (
             tc["doc_id"].to_numpy().astype(np.int64)
-            if tc.num_columns  # no columns: the corpus side is empty
+            if tc.num_rows
             else np.empty(0, dtype=np.int64)
         )
         if len(cdoc):
@@ -441,7 +440,7 @@ def _cogroup_pair_payloads(uniq_pairs, corpus_payloads, n_buckets: int | None = 
             pos = np.empty(0, dtype=np.int64)
         pay = (
             tc["payload"].combine_chunks().take(pa.array(pos, pa.int64()))
-            if tc.num_columns
+            if tc.num_rows
             else pa.array([], pa.binary())
         )
         n_pairs, n_pay = int(amask.sum()), len(dp)
@@ -1144,6 +1143,8 @@ def near_dedup_survivors(sf_dir: str, threshold: float = 0.5, n_buckets: int | N
     )
 
     def anti(ids: pd.DataFrame, gone: pd.DataFrame) -> pd.DataFrame:
+        if ids.empty:  # a bucket of removed ids alone
+            return pd.DataFrame()
         keep = ids["doc_id"][~ids["doc_id"].isin(gone.get("doc_id", ()))]
         return pd.DataFrame({"doc_id": keep.astype("int64").to_numpy()})
 

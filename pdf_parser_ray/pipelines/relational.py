@@ -817,6 +817,8 @@ def customers_no_orders(sf_dir: str):
     )
 
     def anti(custs: pd.DataFrame, ordered: pd.DataFrame) -> pd.DataFrame:
+        if custs.empty:  # a bucket of order keys alone
+            return pd.DataFrame()
         lone = ~custs["c_custkey"].isin(ordered.get("c_custkey", ()))
         custs = custs.assign(lone=lone.astype("int64"))
         out = custs.groupby("c_mktsegment", as_index=False).agg(
@@ -1199,11 +1201,10 @@ def revenue_by_priority(sf_dir: str):
         )
 
     def join(lines: pd.DataFrame, od: pd.DataFrame) -> pd.DataFrame:
-        # an empty table arrives without columns; partials for the same
-        # orderkey come from several batches
-        lines = lines.reindex(columns=["o_orderkey", "rev_cents"])
+        if lines.empty or od.empty:  # inner join: one side is missing
+            return pd.DataFrame()
+        # partials for the same orderkey come from several batches
         lines = lines.groupby("o_orderkey", as_index=False)["rev_cents"].sum()
-        od = od.reindex(columns=["o_orderkey", "o_orderpriority"])
         m = od.merge(lines, on="o_orderkey")
         out = m.groupby("o_orderpriority", as_index=False).agg(
             n_orders=("o_orderkey", "size"), revenue_cents=("rev_cents", "sum")

@@ -556,10 +556,9 @@ def tfidf_top_terms(sf_dir: str, k: int = 3):
             words.extend(c.keys())
             tfs.extend(c.values())
         wa = pa.array(words, pa.string())
-        bucket = (fnv1a64_of_strings(wa) % n_buckets).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(bucket),
+                "wh": pa.array(fnv1a64_of_strings(wa).view(np.int64)),
                 "doc_id": pa.array(ids, pa.int64()),
                 "word": wa,
                 "tf": pa.array(tfs, pa.int64()),
@@ -574,7 +573,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 3):
         g["score_scaled"] = (g["tf"].to_numpy(np.int64) * scale) // g[
             "df"
         ].to_numpy(np.int64)
-        return g.drop(columns=["bucket"])
+        return g
 
     def local_topk(b: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -605,7 +604,7 @@ def tfidf_top_terms(sf_dir: str, k: int = 3):
     return (
         cogroup(
             ds.map_batches(partial, batch_format="pyarrow"),
-            "bucket",
+            "wh",
             n_buckets,
             lambda g: local_topk(score_group(g)),
         )
@@ -904,10 +903,9 @@ def rare_token_mass(sf_dir: str, threshold: int = 5):
             ids.extend([doc_id] * len(c))
             cnts.extend(c.values())
         wa = pa.array(words, pa.string())
-        wb = (fnv1a64_of_strings(wa) % n_word_buckets).astype(np.int64)
         return pa.table(
             {
-                "wb": pa.array(wb),
+                "wh": pa.array(fnv1a64_of_strings(wa).view(np.int64)),
                 "word": wa,
                 "doc_id": pa.array(ids, pa.int64()),
                 "cnt": pa.array(cnts, pa.int64()),
@@ -926,7 +924,7 @@ def rare_token_mass(sf_dir: str, threshold: int = 5):
 
     rare_parts = cogroup(
         injected.map_batches(word_doc_counts, batch_format="pyarrow"),
-        "wb",
+        "wh",
         n_word_buckets,
         rare_partials,
     )
@@ -1042,6 +1040,8 @@ def strip_boilerplate(ds, lines_for, min_docs: int):
     sites = cogroup(occurrences, "h1", n_buckets, boiler_sites)
 
     def strip(docs: pd.DataFrame, sites: pd.DataFrame) -> pd.DataFrame:
+        if docs.empty:  # a bucket of sites alone
+            return pd.DataFrame()
         removed: dict[int, set[int]] = {}
         for d, i in zip(sites.get("doc_id", ()), sites.get("line_idx", ())):
             removed.setdefault(int(d), set()).add(int(i))
@@ -1185,10 +1185,9 @@ def bigram_lm_score(sf_dir: str, scale: int = 10**6):
             w2s.append("")
             tfs.append(0)
         w1a = pa.array(w1s, pa.string())
-        bucket = (fnv1a64_of_strings(w1a) % n_buckets).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(bucket),
+                "wh": pa.array(fnv1a64_of_strings(w1a).view(np.int64)),
                 "doc_id": pa.array(ids, pa.int64()),
                 "w1": w1a,
                 "w2": pa.array(w2s, pa.string()),
@@ -1224,7 +1223,7 @@ def bigram_lm_score(sf_dir: str, scale: int = 10**6):
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    scored = cogroup(partials, "bucket", n_buckets, score_bucket)
+    scored = cogroup(partials, "wh", n_buckets, score_bucket)
     # coarse re-key for the per-doc fold: Ray's native sort-agg over
     # |docs| groups costs ~2x this whole plan; 256 bucket groups with a
     # vectorized in-group sum is the cheap shape

@@ -192,19 +192,21 @@ def test_cogroup_hands_each_bucket_its_rows_per_side(ray_session, specs, n_bucke
                 if pyarrow_parts
                 else [(c, str(d)) for c, d in t.to_pandas().dtypes.items()]
             )
-            if t.num_rows
-            else []  # a side with no rows at all: no columns
         )
         for t in tables
     ]
 
     calls: dict[str, dict[int, list]] = {}
+    schemas: dict[tuple[str, int], str] = {}
     for r in got_rows:
         sides = calls.setdefault(r["call"], {j: [] for j in range(len(tables))})
         if r["rid"] < 0:
-            assert r["schema"] == own_schema[r["side"]]
+            schemas[r["call"], r["side"]] = r["schema"]
         else:
             sides[r["side"]].append((r["rid"], r["k"]))
+    for (call, side), schema in schemas.items():
+        # a side with no rows in the bucket: an empty part, no columns
+        assert schema == (own_schema[side] if calls[call][side] else repr([]))
     got: dict[int, dict[int, list]] = {}
     for sides in calls.values():
         buckets = {k % n_buckets for rows in sides.values() for _, k in rows}

@@ -212,3 +212,37 @@ def test_streaming_dedup_equals_batch_dedup(ray_session):
     batch = sorted(exact_dedup_text(sf).to_pandas()["doc_id"])
     streaming = sorted(streaming_exact_dedup(sf, n_shards=4)["doc_id"].to_pylist())
     assert streaming == batch
+
+
+def test_cogroup_pair_payloads_with_no_or_few_pairs(ray_session):
+    """Buckets that hold corpus rows but no pair side (every bucket for
+    a dup-free corpus) yield nothing instead of failing on the missing
+    pair columns."""
+    import ray.data
+
+    from pdf_parser_ray.pipelines.dedup import (
+        _cogroup_pair_payloads,
+        _verify_pairs,
+    )
+
+    corpus = ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array(range(40), pa.int64()),
+                "payload": pa.array([f"p{i}".encode() for i in range(40)], pa.binary()),
+            }
+        )
+    )
+
+    def pairs(a: list[int], b: list[int]):
+        return ray.data.from_arrow(
+            pa.table({"a": pa.array(a, pa.int64()), "b": pa.array(b, pa.int64())})
+        )
+
+    assert _cogroup_pair_payloads(pairs([], []), corpus, n_buckets=16).count() == 0
+
+    sided = _cogroup_pair_payloads(pairs([3], [21]), corpus, n_buckets=16)
+    got = sided.to_pandas()
+    assert sorted(got.loc[got["a"] < 0, "doc_id"]) == [3, 21]
+    out = _verify_pairs(sided, lambda a, pa_, b, pb_: (pa_, pb_) == (b"p3", b"p21"))
+    assert out.to_pandas()[["a", "b"]].values.tolist() == [[3, 21]]
