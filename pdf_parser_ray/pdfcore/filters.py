@@ -19,6 +19,8 @@ document cannot OOM a worker (SURVEY.md §4).
 
 from __future__ import annotations
 
+import binascii
+import re
 import zlib
 
 from .errors import FilterError
@@ -315,11 +317,30 @@ def dct_decode(data: bytes) -> bytes:
         raise FilterError(f"DCTDecode failed: {e}") from e
 
 
+_PDF_WS = b"\x00\t\n\x0c\r "
+
+
 def ascii_hex_decode(data: bytes, max_bytes: int = MAX_DECODED_BYTES) -> bytes:
     """ASCIIHexDecode (PDF spec §7.4.2): pairs of hex digits, all PDF
     whitespace ignored, ``>`` is EOD; an odd trailing digit is padded
     with ``0``. Absent from the reference's closed filter enum
-    (src/image.rs:126-130) — engine extension for full-spec parity."""
+    (src/image.rs:126-130) — engine extension for full-spec parity.
+
+    The body up to ``>`` goes through ``binascii.unhexlify``; a bad
+    character or an output past the cap reruns the per-byte loop, which
+    raises the error."""
+    end = data.find(b">")
+    body = (data if end < 0 else data[:end]).translate(None, _PDF_WS)
+    try:
+        out = binascii.unhexlify(body + b"0" if len(body) & 1 else body)
+    except binascii.Error:
+        out = None
+    if out is not None and len(out) <= max_bytes:
+        return out
+    return _ascii_hex_decode_loop(data, max_bytes)
+
+
+def _ascii_hex_decode_loop(data: bytes, max_bytes: int) -> bytes:
     out = bytearray()
     hi = -1
     for b in data:
@@ -351,11 +372,58 @@ def ascii_hex_encode(data: bytes) -> bytes:
     return data.hex().upper().encode("ascii") + b">"
 
 
+# base64.a85decode holds a 4-byte bytes object per group until it
+# joins them, so the fast path feeds it group-aligned chunks
+_A85_CHUNK = 1 << 16
+_A85_EOD = re.compile(rb"~[\x00\t\n\x0c\r ]*>")
+
+
 def ascii85_decode(data: bytes, max_bytes: int = MAX_DECODED_BYTES) -> bytes:
     """ASCII85Decode (PDF spec §7.4.3): base-85 groups of 5 chars for
     4 bytes, ``z`` shorthand for an all-zero group, ``~>`` is EOD, PDF
     whitespace ignored. A final partial group of n chars (2 <= n <= 4)
-    is padded with ``u`` and yields n-1 bytes."""
+    is padded with ``u`` and yields n-1 bytes.
+
+    The whitespace-free body up to ``~>`` goes through
+    ``base64.a85decode``; any shape it does not take (a bad character,
+    ``z`` inside a group, a lone trailing character, overflow, a ``~``
+    without ``>``, an output past the cap) reruns the per-byte loop,
+    which raises the error."""
+    end = data.find(b"~")
+    if end < 0 or _A85_EOD.match(data, end):
+        body = (data if end < 0 else data[:end]).translate(None, _PDF_WS)
+        out = _a85_chunks(body, max_bytes)
+        if out is not None:
+            return out
+    return _ascii85_decode_loop(data, max_bytes)
+
+
+def _a85_chunks(body: bytes, max_bytes: int) -> bytes | None:
+    from base64 import a85decode
+
+    out = bytearray()
+    pos, n = 0, len(body)
+    while pos < n:
+        chunk = body[pos : pos + _A85_CHUNK]
+        pos += len(chunk)
+        tail = (len(chunk) - chunk.count(b"z")) % 5  # digits past a group
+        if pos < n:  # end the chunk on a group boundary
+            chunk = chunk[: len(chunk) - tail]
+            pos -= tail
+            if (len(chunk) - chunk.count(b"z")) % 5:
+                return None  # a z inside the group it cut
+        elif tail == 1:
+            return None  # a lone trailing character
+        try:
+            out += a85decode(chunk, ignorechars=b"")
+        except ValueError:
+            return None
+        if len(out) > max_bytes:
+            return None
+    return bytes(out)
+
+
+def _ascii85_decode_loop(data: bytes, max_bytes: int) -> bytes:
     out = bytearray()
     group: list[int] = []
 

@@ -22,6 +22,7 @@ Deterministic assembly rule (normative for this engine's goldens):
 from __future__ import annotations
 
 import re
+from binascii import unhexlify
 
 from .errors import TextExtractError
 from .lexer import (
@@ -47,6 +48,31 @@ C_DICT_END = ">>"
 C_OP = "op"
 
 
+# One content token per match, after the whitespace before it. The group
+# that matched names the token, so a reader dispatches on ``m.lastindex``:
+# a number exactly as int() or float() reads it, an operator (never
+# starting with a number character), a hex body, a literal-string body
+# without nested parens, a name, [, ], << or >>. A comment and the end
+# of the buffer match no group. Anything else (a nested or unterminated
+# string, a bad number or hex string, a lone > ) { } or \x12) lands in
+# the last group, as does a non-ASCII name from the name branch, and
+# ``ContentLexer.read_token`` reads that one token with the per-byte
+# rules, errors included.
+(_T_NUM, _T_OP, _T_HEX, _T_STR, _T_NAME,
+ _T_ARR_START, _T_ARR_END, _T_DICT, _T_RARE) = range(1, 10)
+_CONTENT_TOKEN = re.compile(
+    rb"[\x00\t\n\x0c\r ]*+(?:"
+    rb"([+-]?+(?:[0-9]++\.?+[0-9]*+|\.[0-9]++)(?![0-9+\-.]))"
+    rb"|([^\x00\t\n\x0c\r \x12()<>\[\]{}/%0-9+\-.][^\x00\t\n\x12\r ()<>\[\]{}/%]*+)"
+    rb"|<([0-9a-fA-F\x00\t\n\x0c\r ]*+)>"
+    rb"|\(([^\\()]*+(?:\\[\x00-\xff][^\\()]*+)*+)\)"
+    rb"|(/[^\x00\t\n\x12\r ()<>\[\]{}/%]*+)"
+    rb"|(\[)|(\])|(<<|>>)"
+    rb"|%[^\r\n]*+|\Z"
+    rb"|([\x00-\xff]))"
+)
+
+
 class ContentLexer:
     """Tokenizer for content streams: operands + operator keywords.
 
@@ -54,6 +80,8 @@ class ContentLexer:
     quirk Q11), content streams are an open-ended operator sequence, so
     any run of regular characters that is not a number is an operator
     token. Inline images (BI..ID..EI) are skipped as opaque bytes.
+    ``tokens`` scans with ``_CONTENT_TOKEN``; ``tokens_naive`` is the
+    per-byte loop, kept as its oracle.
     """
 
     __slots__ = ("buf", "i", "n")
@@ -61,7 +89,6 @@ class ContentLexer:
     _WS_RUN = re.compile(rb"[\x00\t\n\x0c\r ]+")
     _NUM_RUN = re.compile(rb"[0-9+\-.]+")
     _REG_RUN = re.compile(rb"[^\x00\t\n\x12\r ()<>\[\]{}/%]+")
-    _HEX_RUN = re.compile(rb"[0-9a-fA-F]*")
     _HEX_WS_RUN = re.compile(rb"[0-9a-fA-F\x00\t\n\x0c\r ]*")
     _STR_DELIM = re.compile(rb"[\\()]")
 
@@ -71,6 +98,39 @@ class ContentLexer:
         self.n = len(buf)
 
     def tokens(self):
+        """``(kind, value)`` per token. Inline images are not skipped:
+        the text interpreter does that with ``skip_inline_image``."""
+        buf = self.buf
+        while True:
+            for m in _CONTENT_TOKEN.finditer(buf, self.i):
+                k = m.lastindex
+                if k is None:
+                    continue
+                g = m.group(k)
+                if k == _T_RARE or (k == _T_NAME and not g.isascii()):
+                    yield self.read_token(m.start(k))
+                    break
+                if k == _T_NUM:
+                    try:
+                        yield (C_NUM, int(g))
+                    except ValueError:
+                        yield (C_NUM, float(g))
+                elif k == _T_OP:
+                    yield (C_OP, g.decode("latin-1"))
+                elif k == _T_HEX:
+                    yield (C_HEX, parse_hex_string(g.translate(None, _WS_BYTES)))
+                elif k == _T_STR:
+                    yield (C_STR, parse_string(g))
+                elif k == _T_NAME:
+                    yield (C_NAME, g[1:].decode("ascii"))
+                elif k == _T_DICT:
+                    yield (C_DICT_START if g == b"<<" else C_DICT_END, None)
+                else:
+                    yield (C_ARR_START if k == _T_ARR_START else C_ARR_END, None)
+            else:
+                return
+
+    def tokens_naive(self):
         buf, n = self.buf, self.n
         while self.i < n:
             b = buf[self.i]
@@ -83,92 +143,80 @@ class ContentLexer:
                 js = [x for x in (j1, j2) if x != -1]
                 self.i = min(js) if js else n
                 continue
-            if b in _NUMBER_CHARS:
-                start = self.i
-                self.i = self._NUM_RUN.match(buf, start).end()
-                s = buf[start : self.i].decode("ascii")
+            yield self.read_token(self.i)
+
+    def read_token(self, start: int) -> tuple:
+        """The token at ``start`` (not whitespace or a comment) by the
+        per-byte rules; ``self.i`` moves past it."""
+        buf, n = self.buf, self.n
+        b = buf[start]
+        if b in _NUMBER_CHARS:
+            self.i = self._NUM_RUN.match(buf, start).end()
+            s = buf[start : self.i].decode("ascii")
+            try:
+                return (C_NUM, int(s))
+            except ValueError:
                 try:
-                    yield (C_NUM, int(s))
+                    return (C_NUM, float(s))
                 except ValueError:
-                    try:
-                        yield (C_NUM, float(s))
-                    except ValueError:
-                        raise TextExtractError(
-                            "cannot parse as number", start
-                        ) from None
-                continue
-            if b == 0x2F:  # /name
-                start = self.i
-                m = self._REG_RUN.match(buf, start + 1)
-                self.i = m.end() if m else start + 1
-                try:
-                    yield (C_NAME, parse_name(buf[start + 1 : self.i]))
-                except ValueError:
-                    raise TextExtractError("cannot parse as name", start) from None
-                continue
-            if b == 0x28:  # (string) with balanced parens + escapes
-                start = self.i
-                depth = 0
-                pos = start + 1
-                while True:
-                    m = self._STR_DELIM.search(buf, pos)
-                    if m is None:
-                        raise TextExtractError("unterminated string", start)
-                    at = m.start()
-                    c = buf[at]
-                    if c == 0x5C:
-                        pos = at + 2
-                    elif c == 0x28:
-                        depth += 1
-                        pos = at + 1
-                    else:
-                        if depth == 0:
-                            break
-                        depth -= 1
-                        pos = at + 1
-                body = parse_string(buf[start + 1 : at])
-                self.i = at + 1
-                yield (C_STR, body)
-                continue
-            if b == 0x3C:  # << or <hex>
-                if self.i + 1 < n and buf[self.i + 1] == 0x3C:
-                    self.i += 2
-                    yield (C_DICT_START, None)
-                    continue
-                start = self.i
-                end = self._HEX_WS_RUN.match(buf, start + 1).end()
-                if end >= n or buf[end] != 0x3E:
-                    raise TextExtractError("unterminated hex string", start)
-                # content streams tolerate whitespace inside hex strings
-                # (spec §3.2.3; the OBJECT lexer stays strict per Q5)
-                body = parse_hex_string(
-                    buf[start + 1 : end].translate(None, _WS_BYTES)
-                )
-                self.i = end + 1
-                yield (C_HEX, body)
-                continue
-            if b == 0x3E:  # >>
-                if self.i + 1 < n and buf[self.i + 1] == 0x3E:
-                    self.i += 2
-                    yield (C_DICT_END, None)
-                    continue
-                raise TextExtractError("unexpected `>`", self.i)
-            if b == 0x5B:
-                self.i += 1
-                yield (C_ARR_START, None)
-                continue
-            if b == 0x5D:
-                self.i += 1
-                yield (C_ARR_END, None)
-                continue
-            m = self._REG_RUN.match(buf, self.i)
-            if m is not None:
-                self.i = m.end()
-                yield (C_OP, m.group(0).decode("latin-1"))
-                continue
-            # unknown delimiter (e.g. { } in type-4 functions): 1-byte op
-            self.i += 1
-            yield (C_OP, chr(b))
+                    raise TextExtractError("cannot parse as number", start) from None
+        if b == 0x2F:  # /name
+            m = self._REG_RUN.match(buf, start + 1)
+            self.i = m.end() if m else start + 1
+            try:
+                return (C_NAME, parse_name(buf[start + 1 : self.i]))
+            except ValueError:
+                raise TextExtractError("cannot parse as name", start) from None
+        if b == 0x28:  # (string) with balanced parens + escapes
+            depth = 0
+            pos = start + 1
+            while True:
+                m = self._STR_DELIM.search(buf, pos)
+                if m is None:
+                    raise TextExtractError("unterminated string", start)
+                at = m.start()
+                c = buf[at]
+                if c == 0x5C:
+                    pos = at + 2
+                elif c == 0x28:
+                    depth += 1
+                    pos = at + 1
+                else:
+                    if depth == 0:
+                        break
+                    depth -= 1
+                    pos = at + 1
+            self.i = at + 1
+            return (C_STR, parse_string(buf[start + 1 : at]))
+        if b == 0x3C:  # << or <hex>
+            if start + 1 < n and buf[start + 1] == 0x3C:
+                self.i = start + 2
+                return (C_DICT_START, None)
+            end = self._HEX_WS_RUN.match(buf, start + 1).end()
+            if end >= n or buf[end] != 0x3E:
+                raise TextExtractError("unterminated hex string", start)
+            # content streams tolerate whitespace inside hex strings
+            # (spec §3.2.3; the OBJECT lexer stays strict per Q5)
+            self.i = end + 1
+            return (C_HEX, parse_hex_string(buf[start + 1 : end].translate(None, _WS_BYTES)))
+        if b == 0x3E:  # >>
+            if start + 1 < n and buf[start + 1] == 0x3E:
+                self.i = start + 2
+                return (C_DICT_END, None)
+            raise TextExtractError("unexpected `>`", start)
+        if b == 0x5B:
+            self.i = start + 1
+            return (C_ARR_START, None)
+        if b == 0x5D:
+            self.i = start + 1
+            return (C_ARR_END, None)
+        m = self._REG_RUN.match(buf, start)
+        if m is not None:
+            self.i = m.end()
+            return (C_OP, m.group(0).decode("latin-1"))
+        # unknown delimiter (e.g. { } in type-4 functions): 1-byte op
+        self.i = start + 1
+        return (C_OP, chr(b))
 
     def skip_inline_image(self) -> None:
         """After a BI..ID, advance past the binary data to EI."""
@@ -473,7 +521,6 @@ def extract_page_text(doc, page, cmap_cache: dict | None = None) -> bytes:
 
     def run(content: bytes, fonts: dict, xobjects: dict, depth: int) -> None:
         nonlocal shown_since_break
-        stack: list = []
         font: _Font | None = None
 
         def show(payload: bytes) -> None:
@@ -521,57 +568,89 @@ def extract_page_text(doc, page, cmap_cache: dict | None = None) -> bytes:
             )
             run(inner, inner_fonts, inner_xobjs, depth + 1)
 
+        # One pass of the scanner, each token handled where it matches.
+        # The operators read at most two operands, so the operand stack
+        # is its top two: bytes (a string), str (a name), list (an
+        # array: the byte pieces TJ shows) or None (anything else, and
+        # no operand). Operators clear it; an open array keeps its
+        # strings and its word-gap kerns as b" ".
         lexer = ContentLexer(content)
-        arr: list | None = None
-        for kind, val in lexer.tokens():
-            if kind == C_ARR_START:
-                arr = []
-                continue
-            if kind == C_ARR_END:
-                stack.append(arr if arr is not None else [])
-                arr = None
-                continue
-            if arr is not None and kind in (C_NUM, C_STR, C_HEX, C_NAME):
-                arr.append((kind, val))
-                continue
-            if kind in (C_NUM, C_STR, C_HEX, C_NAME, C_DICT_START, C_DICT_END):
-                stack.append((kind, val))
-                continue
-            # operator
-            if val == "Tj":
-                if stack and stack[-1][0] in (C_STR, C_HEX):
-                    show(stack[-1][1])
-            elif val == "TJ":
-                if stack and isinstance(stack[-1], list):
-                    for k, v in stack[-1]:
-                        if k in (C_STR, C_HEX):
-                            show(v)
-                        elif k == C_NUM and v < _TJ_SPACE_KERN:
-                            # real producers encode inter-word spaces as
-                            # large negative kerning (thousandths of an
-                            # em); small adjustments stay glued
-                            show(b" ")
-            elif val in ("Td", "TD", "T*"):
-                line_break()
-            elif val == "'":
-                line_break()
-                if stack and stack[-1][0] in (C_STR, C_HEX):
-                    show(stack[-1][1])
-            elif val == '"':
-                line_break()
-                if stack and stack[-1][0] in (C_STR, C_HEX):
-                    show(stack[-1][1])
-            elif val == "Tf":
-                if len(stack) >= 2 and stack[-2][0] == C_NAME:
-                    font = fonts.get(stack[-2][1])
-            elif val == "BT":
-                line_break()
-            elif val == "Do":
-                if stack and stack[-1][0] == C_NAME:
-                    do_xobject(stack[-1][1])
-            elif val == "BI":
-                lexer.skip_inline_image()
-            stack.clear()
+        top = below = arr = None
+        while True:
+            for m in _CONTENT_TOKEN.finditer(content, lexer.i):
+                k = m.lastindex
+                if k == _T_NUM:
+                    if arr is None:
+                        below, top = top, None
+                    elif float(m.group(k)) < _TJ_SPACE_KERN:
+                        # real producers encode inter-word spaces as
+                        # large negative kerning (thousandths of an
+                        # em); small adjustments stay glued
+                        arr.append(b" ")
+                    continue
+                if k == _T_OP:
+                    op = m.group(k)
+                    if op == b"Tj":
+                        if type(top) is bytes:
+                            show(top)
+                    elif op == b"TJ":
+                        if type(top) is list:
+                            for piece in top:
+                                show(piece)
+                    elif op == b"Td" or op == b"TD" or op == b"T*" or op == b"BT":
+                        line_break()
+                    elif op == b"'" or op == b'"':
+                        line_break()
+                        if type(top) is bytes:
+                            show(top)
+                    elif op == b"Tf":
+                        if type(below) is str:
+                            font = fonts.get(below)
+                    elif op == b"Do":
+                        if type(top) is str:
+                            do_xobject(top)
+                    elif op == b"BI":
+                        top = below = None
+                        lexer.i = m.end()
+                        lexer.skip_inline_image()
+                        break
+                    top = below = None
+                    continue
+                if k == _T_STR or k == _T_HEX:
+                    if k == _T_STR:
+                        val = parse_string(m.group(k))
+                    else:  # the scanner admits only hex digits and whitespace
+                        val = m.group(k).translate(None, _WS_BYTES)
+                        val = unhexlify(val + b"0" if len(val) & 1 else val)
+                    if arr is None:
+                        below, top = top, val
+                    else:
+                        arr.append(val)
+                elif k == _T_NAME and m.group(k).isascii():
+                    if arr is None:
+                        below, top = top, m.group(k)[1:].decode("ascii")
+                elif k == _T_ARR_START:
+                    arr = []
+                elif k == _T_ARR_END:
+                    below, top = top, arr if arr is not None else []
+                    arr = None
+                elif k == _T_DICT:
+                    below, top = top, None
+                elif k is not None:
+                    # the last group or a non-ASCII name: one token by the
+                    # per-byte rules, which raise on a malformed one, so
+                    # what comes back is a nested string or a lone
+                    # ) { } \x12, which operates on nothing
+                    kind, val = lexer.read_token(m.start(k))
+                    if kind == C_OP:
+                        top = below = None
+                    elif arr is None:
+                        below, top = top, val
+                    else:
+                        arr.append(val)
+                    break
+            else:
+                break
 
     run(content, _page_fonts(doc, page, cmap_cache), _page_xobjects(doc, page), 0)
     return bytes(out)

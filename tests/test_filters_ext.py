@@ -103,6 +103,144 @@ def test_a85_roundtrip(data):
     assert ascii85_decode(ascii85_encode(data)) == data
 
 
+# -- ASCIIHex / ASCII85 against their per-byte loops ---------------------------
+
+
+def ascii_hex_decode_naive(data: bytes, max_bytes: int = MAX_DECODED_BYTES) -> bytes:
+    """The per-byte ASCIIHexDecode loop, oracle for the unhexlify path."""
+    out = bytearray()
+    hi = -1
+    for b in data:
+        if b in b"\x00\t\n\x0c\r ":
+            continue
+        if b == 0x3E:  # '>' EOD
+            break
+        if 0x30 <= b <= 0x39:
+            v = b - 0x30
+        elif 0x41 <= b <= 0x46:
+            v = b - 0x41 + 10
+        elif 0x61 <= b <= 0x66:
+            v = b - 0x61 + 10
+        else:
+            raise FilterError(f"ASCIIHexDecode: invalid character {b:#04x}")
+        if hi < 0:
+            hi = v
+        else:
+            out.append((hi << 4) | v)
+            hi = -1
+        if len(out) > max_bytes:
+            raise FilterError("ASCIIHexDecode output exceeds safety cap")
+    if hi >= 0:  # odd digit count: pad with 0
+        out.append(hi << 4)
+    return bytes(out)
+
+
+def ascii85_decode_naive(data: bytes, max_bytes: int = MAX_DECODED_BYTES) -> bytes:
+    """The per-byte ASCII85Decode loop, oracle for the a85decode path."""
+    out = bytearray()
+    group: list[int] = []
+
+    def flush(g: list[int], n_out: int) -> None:
+        acc = 0
+        for c in g:
+            acc = acc * 85 + c
+        if acc > 0xFFFFFFFF:
+            raise FilterError("ASCII85Decode: group value overflow")
+        out.extend(acc.to_bytes(4, "big")[:n_out])
+
+    i, n = 0, len(data)
+    while i < n:
+        b = data[i]
+        i += 1
+        if b in b"\x00\t\n\x0c\r ":
+            continue
+        if b == 0x7E:
+            while i < n and data[i] in b"\x00\t\n\x0c\r ":
+                i += 1
+            if i >= n or data[i] != 0x3E:
+                raise FilterError("ASCII85Decode: '~' without '>'")
+            break
+        if b == 0x7A:  # 'z'
+            if group:
+                raise FilterError("ASCII85Decode: 'z' inside group")
+            out.extend(b"\x00\x00\x00\x00")
+        elif 0x21 <= b <= 0x75:  # '!'..'u'
+            group.append(b - 0x21)
+            if len(group) == 5:
+                flush(group, 4)
+                group = []
+        else:
+            raise FilterError(f"ASCII85Decode: invalid character {b:#04x}")
+        if len(out) > max_bytes:
+            raise FilterError("ASCII85Decode output exceeds safety cap")
+    if group:
+        if len(group) == 1:
+            raise FilterError("ASCII85Decode: lone trailing character")
+        k = len(group)
+        flush(group + [84] * (5 - k), k - 1)  # pad with 'u' (84)
+    return bytes(out)
+
+
+def _filter_outcome(fn, data, max_bytes):
+    try:
+        return fn(data, max_bytes)
+    except FilterError as e:
+        return ("error", str(e))
+
+
+_WS_BYTES = [bytes([b]) for b in b"\x00\t\n\x0c\r "]
+_HEX_PIECES = st.one_of(
+    st.binary(max_size=40).map(lambda b: b.hex().encode()),
+    st.binary(max_size=8).map(lambda b: b.hex().upper().encode()),
+    st.sampled_from(_WS_BYTES + [b">", b"7", b"g", b"G", b"~", b"\x80", b"\x0b"]),
+    st.binary(max_size=2),
+)
+_A85_PIECES = st.one_of(
+    st.binary(max_size=40).map(lambda b: ascii85_encode(b)[:-2]),
+    st.sampled_from(
+        _WS_BYTES
+        + [b"z", b"~>", b"~ \n>", b"~", b"~x", b"u", b"uuuuu", b"s8W-!", b"s8W-\"",
+           b"!", b"v", b"y", b"{", b"\x80", b"\x0b"]
+    ),
+    st.binary(max_size=2),
+)
+_CAPS = st.sampled_from([0, 1, 3, 4, 5, 8, 64, MAX_DECODED_BYTES])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_HEX_PIECES, max_size=12).map(b"".join), _CAPS)
+def test_hex_matches_naive(data, max_bytes):
+    assert _filter_outcome(ascii_hex_decode, data, max_bytes) == _filter_outcome(
+        ascii_hex_decode_naive, data, max_bytes
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_A85_PIECES, max_size=12).map(b"".join), _CAPS)
+def test_a85_matches_naive(data, max_bytes):
+    assert _filter_outcome(ascii85_decode, data, max_bytes) == _filter_outcome(
+        ascii85_decode_naive, data, max_bytes
+    )
+
+
+@pytest.mark.parametrize("chunk", [5, 6, 7, 9, 12])
+def test_a85_group_aligned_chunks_match_naive(monkeypatch, chunk):
+    """Chunks cut at every offset: z runs, partial groups, a z inside
+    the group a chunk cut, errors past the first chunk."""
+    from pdf_parser_ray.pdfcore import filters
+
+    monkeypatch.setattr(filters, "_A85_CHUNK", chunk)
+    rng = random.Random(chunk)
+    pieces = [b"z", b"zz", b"!!!!!", b"87cUR", b"87", b"Ebo80", b" ", b"\n", b"u", b"uuuuu"]
+    for _ in range(600):
+        data = b"".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
+        data += rng.choice([b"", b"~>", b"~ x"])
+        for max_bytes in (3, 64, MAX_DECODED_BYTES):
+            assert _filter_outcome(ascii85_decode, data, max_bytes) == _filter_outcome(
+                ascii85_decode_naive, data, max_bytes
+            ), (data, max_bytes)
+
+
 # -- RunLengthDecode ----------------------------------------------------------
 
 

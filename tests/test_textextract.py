@@ -2,7 +2,7 @@
 ToUnicode CMaps, filters, spans — roundtrip through pdfbuild variants."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdf_parser_ray.pdfcore import pdfbuild
@@ -377,3 +377,323 @@ def test_differences_font_in_pdf_shows_all_codes():
 
     got = textextract.extract_page_text(FakeDoc(), doc.pages[0])
     assert got == "".join(enc_map.get(b, "�") for b in _ALL_BYTES).encode("utf-8")
+
+
+# --- the fused scanner against the per-byte tokenizer -----------------------
+
+from pdf_parser_ray.pdfcore import textextract as tx  # noqa: E402
+from pdf_parser_ray.pdfcore.errors import PdfError  # noqa: E402
+
+
+def extract_page_text_naive(doc, page, cmap_cache=None) -> bytes:
+    """The text interpreter as it read ``(kind, value)`` pairs from the
+    per-byte tokenizer (``ContentLexer.tokens_naive``): the oracle for
+    the fused scanner loop of ``extract_page_text``."""
+    content = tx._page_content(doc, page)
+    if not content:
+        return b""
+    out = bytearray()
+    shown_since_break = False
+
+    def run(content, fonts, xobjects, depth):
+        nonlocal shown_since_break
+        stack: list = []
+        font = None
+
+        def show(payload):
+            nonlocal shown_since_break
+            if font is not None and font.cmap is not None:
+                out.extend(font.cmap.map_bytes(payload).encode("utf-8"))
+            elif font is not None and font.table is not None:
+                out.extend(payload.decode("latin-1").translate(font.table).encode("utf-8"))
+            else:
+                out.extend(payload)
+            shown_since_break = True
+
+        def line_break():
+            nonlocal shown_since_break
+            if shown_since_break:
+                out.extend(b"\n")
+            shown_since_break = False
+
+        def do_xobject(name):
+            if depth >= tx._MAX_FORM_DEPTH:
+                return
+            entry = xobjects.get(name)
+            if entry is None:
+                return
+            resolved = doc.resolve(entry) if entry[0] == "ref" else entry
+            if resolved[0] != "stream":
+                return
+            d = resolved[1]
+            subtype = d[1].get("Subtype")
+            if subtype is None or subtype[0] != "name" or subtype[1] != "Form":
+                return
+            inner = doc.get_stream_decoded(resolved)
+            own_res = d[1].get("Resources")
+            inner_fonts = (
+                tx._fonts_from_resources(doc, own_res, cmap_cache)
+                if own_res is not None
+                else fonts
+            )
+            inner_xobjs = (
+                tx._xobjects_from_resources(doc, own_res) if own_res is not None else xobjects
+            )
+            run(inner, inner_fonts, inner_xobjs, depth + 1)
+
+        def kind_at(i):
+            """The kind of operand ``stack[i]``; None for an array or none."""
+            if len(stack) < -i or isinstance(stack[i], list):
+                return None
+            return stack[i][0]
+
+        operands = (tx.C_NUM, tx.C_STR, tx.C_HEX, tx.C_NAME)
+        lexer = ContentLexer(content)
+        arr = None
+        for kind, val in lexer.tokens_naive():
+            if kind == tx.C_ARR_START:
+                arr = []
+                continue
+            if kind == tx.C_ARR_END:
+                stack.append(arr if arr is not None else [])
+                arr = None
+                continue
+            if arr is not None and kind in operands:
+                arr.append((kind, val))
+                continue
+            if kind in operands or kind in (tx.C_DICT_START, tx.C_DICT_END):
+                stack.append((kind, val))
+                continue
+            if val == "Tj":
+                if kind_at(-1) in (tx.C_STR, tx.C_HEX):
+                    show(stack[-1][1])
+            elif val == "TJ":
+                if stack and isinstance(stack[-1], list):
+                    for k, v in stack[-1]:
+                        if k in (tx.C_STR, tx.C_HEX):
+                            show(v)
+                        elif k == tx.C_NUM and v < tx._TJ_SPACE_KERN:
+                            show(b" ")
+            elif val in ("Td", "TD", "T*"):
+                line_break()
+            elif val in ("'", '"'):
+                line_break()
+                if kind_at(-1) in (tx.C_STR, tx.C_HEX):
+                    show(stack[-1][1])
+            elif val == "Tf":
+                if kind_at(-2) == tx.C_NAME:
+                    font = fonts.get(stack[-2][1])
+            elif val == "BT":
+                line_break()
+            elif val == "Do":
+                if kind_at(-1) == tx.C_NAME:
+                    do_xobject(stack[-1][1])
+            elif val == "BI":
+                lexer.skip_inline_image()
+            stack.clear()
+
+    run(content, tx._page_fonts(doc, page, cmap_cache), tx._page_xobjects(doc, page), 0)
+    return bytes(out)
+
+
+@pytest.mark.parametrize(
+    "content, text",
+    [
+        (b"[] Tj", b""),
+        (b"] Tj", b""),
+        (b"[] '", b""),
+        (b'1 [] "', b""),
+        (b"[] 12 Tf (a) Tj", b"a"),
+        (b"[] Do", b""),
+    ],
+)
+def test_array_where_a_string_or_name_operand_is_read(content, text):
+    """An array, empty ones included, is neither a string nor a name:
+    the operator does nothing, as with a number there."""
+    doc = PdfDocument(content_pdf(content, _CMAP_FONT))
+    assert tx.extract_page_text(doc, doc.pages[0]) == text
+    assert extract_page_text_naive(doc, doc.pages[0]) == text
+
+
+_CMAP_FONT = "cmap"
+_SIMPLE_FONT = "simple"
+_NO_FONT = "none"
+
+
+def content_pdf(content: bytes, font: str = _NO_FONT, forms: dict | None = None) -> bytes:
+    """A one-page PDF whose page shows ``content``. ``font`` is the
+    page's /F1: a 1-byte ToUnicode CMap font, a simple font with an
+    /Encoding /Differences, or absent. ``forms`` maps a name to the
+    content of a Form XObject; page and forms share one /Resources, so
+    a form can call any form, itself included."""
+    w = pdfbuild._Writer()
+    catalog, pages, page = w.alloc(), w.alloc(), w.alloc()
+    fonts = b""
+    if font == _CMAP_FONT:
+        font_num, cmap_num = w.alloc(), w.alloc()
+        # codes 0x20..0x7e map to their ASCII letters shifted by one;
+        # every other code is unmapped (U+FFFD)
+        chars = [chr(c + 1) if 0x20 <= c < 0x7F else "\x00" for c in range(0x7F)]
+        cmap_bytes, _ = pdfbuild._cmap_stream(chars)
+        w.add(font_num, b"<< /Type /Font /Subtype /Type1 /ToUnicode %d 0 R >>" % cmap_num)
+        w.add_stream(cmap_num, b"", cmap_bytes)
+        fonts = b"/Font << /F1 %d 0 R >>" % font_num
+    elif font == _SIMPLE_FONT:
+        fonts = (
+            b"/Font << /F1 << /Type /Font /Subtype /Type1 /Encoding << /Type /Encoding"
+            b" /BaseEncoding /WinAnsiEncoding /Differences [ 97 /eacute /B 40 /Euro ] >> >> >>"
+        )
+    form_nums = {name: w.alloc() for name in forms or {}}
+    xobjects = b"".join(b"/%s %d 0 R " % (name.encode(), num) for name, num in form_nums.items())
+    resources = b"<< %s /XObject << %s>> >>" % (fonts, xobjects)
+    for name, num in form_nums.items():
+        w.add_stream(
+            num,
+            b"/Type /XObject /Subtype /Form /BBox [ 0 0 612 792 ] /Resources %s" % resources,
+            forms[name],
+        )
+    contents = w.alloc()
+    w.add(catalog, b"<< /Type /Catalog /Pages %d 0 R >>" % pages)
+    w.add(pages, b"<< /Type /Pages /Kids [ %d 0 R ] /Count 1 >>" % page)
+    w.add(
+        page,
+        b"<< /Type /Page /Parent %d 0 R /MediaBox [0 0 612 792] /Resources %s /Contents %d 0 R >>"
+        % (pages, resources, contents),
+    )
+    w.add_stream(contents, b"", content)
+    return w.finish(catalog)
+
+
+def _text_outcome(extract, pdf: bytes):
+    doc = PdfDocument(pdf)
+    try:
+        return extract(doc, doc.pages[0])
+    except PdfError as e:
+        return (type(e).__name__, e.message, e.byte_offset)
+
+
+_TEXT_FRAGMENTS = [
+    # valid numbers, strings, hex, names, comments, arrays, dictionaries
+    b"0", b"12", b"-250", b"+3", b"12.5", b".5", b"-.5", b"4.", b"007", b"-181", b"-180",
+    b"(abc)", b"()", b"(a(b)c)", b"(a(b(c))d)", b"(a\\)b)", b"(x\\(y)", b"(\\101\\n\\t)",
+    b"(a\\\\)", b"(\xe9\x00\xff)",
+    b"<48 65\x00\t\n\x0c\r6c>", b"<486>", b"<>", b"<7E20>",
+    b"/F1", b"/X0", b"/F9", b"/", b"/a#20b",
+    b"%c\r", b"%c\n", b"%c\r\n",
+    b"[", b"]", b"[ (a) -250 (b) 12 (c) ]", b"[[(x)]", b"<<", b">>", b"<< /A 1 >>",
+    # text operators, alone and with their operands
+    b"Tj", b"TJ", b"'", b'"', b"Td", b"TD", b"T*", b"Tf", b"BT", b"ET", b"Do",
+    b"/F1 12 Tf", b"/F9 1 Tf", b"/X0 Do", b"(hi) Tj", b"1 2 (q) \"", b"(ab) '",
+    b"[(a(b)c) -300 <6162>] TJ",
+    # inline images, junk operators holding \x0c, lone ) { } \x12
+    b"BI /W 1 /H 1 ID \x00\xffEI x EI ", b"BI ID EI", b"ab\x0ccd", b"Tj\x0c", b"\x0cTj",
+    b")", b"{", b"}", b"\x12",
+]
+# shapes that raise: bad numbers, unterminated strings and hex, bad hex
+# digits, non-ASCII names, a lone >, an image without EI, a comment to
+# the end
+_HOSTILE_FRAGMENTS = [
+    b"1.2.3", b"+-1", b".", b"-", b"1-2", b"..", b"+", b"(abc", b"(ab\\", b"<4g>", b"<48",
+    b"/na\xe9me", b">", b"BI ID \x01\x02", b"% to the end",
+]
+_FRAGMENTS = _TEXT_FRAGMENTS + _HOSTILE_FRAGMENTS
+_SEPARATORS = [b" ", b"", b"\n", b"\r\n", b"\x00", b"\x0c", b"\t"]
+
+
+# most fragments are valid text, so a stream usually runs past its
+# first few tokens before any error
+_CONTENT_STREAMS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from(_TEXT_FRAGMENTS),
+            st.sampled_from(_TEXT_FRAGMENTS),
+            st.sampled_from(_TEXT_FRAGMENTS),
+            st.sampled_from(_HOSTILE_FRAGMENTS),
+            st.binary(max_size=3),
+        ),
+        st.sampled_from(_SEPARATORS),
+    ),
+    max_size=14,
+).map(lambda parts: b"".join(f + sep for f, sep in parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONTENT_STREAMS)
+@example(b"/F1 12 Tf (hi) Tj /X0 Do [(a) -180 (b(c)) -181 <64>] TJ")
+@example(b"(a) ) Tj (b) { ' (c) \x12 \"")
+@example(b"/F1 1 Tf BI /W 1 ID (x) Tj EI (y) Tj (z) ' 1 2 (w) \"")
+def test_fused_text_loop_matches_naive_oracle(content):
+    forms = {"X0": b"BT /F1 9 Tf (f) Tj [(g) -300 (h)] TJ ET"}
+    for font in (_CMAP_FONT, _SIMPLE_FONT, _NO_FONT):
+        pdf = content_pdf(content, font, forms)
+        assert _text_outcome(tx.extract_page_text, pdf) == _text_outcome(
+            extract_page_text_naive, pdf
+        ), (font, content)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_CONTENT_STREAMS)
+def test_scanner_tokens_match_naive_tokens(content):
+    def outcome(tokens):
+        got = []
+        try:
+            for tok in tokens:
+                got.append(tok)
+        except PdfError as e:
+            got.append((type(e).__name__, e.message, e.byte_offset))
+        return got
+
+    assert outcome(ContentLexer(content).tokens()) == outcome(
+        ContentLexer(content).tokens_naive()
+    )
+
+
+def _python_reads_number(s: str) -> bool:
+    for conv in (int, float):
+        try:
+            conv(s)
+            return True
+        except ValueError:
+            pass
+    return False
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet="0123456789+-.", min_size=1, max_size=8))
+def test_number_group_is_exactly_what_int_or_float_reads(s):
+    m = tx._CONTENT_TOKEN.match(s.encode("ascii"))
+    scanned = m.lastindex == tx._T_NUM and m.end() == len(s)
+    assert scanned == _python_reads_number(s)
+
+
+def test_self_calling_form_is_scanned_once_per_call(monkeypatch):
+    """A Form XObject that shows (b), calls itself three times and ends
+    in a nested-paren string: every call decodes and scans its stream
+    once, so the counts are the call tree's (3**8 - 1) // 2 form calls
+    under the depth cap plus the page, and never more."""
+    pdf = content_pdf(b"/X0 Do", forms={"X0": b"(b) Tj /X0 Do /X0 Do /X0 Do (a(b)c) Tj"})
+    counts = {"lexers": 0, "decodes": 0}
+    lexer_init = ContentLexer.__init__
+    decoded = PdfDocument.get_stream_decoded
+
+    def counting_init(self, buf):
+        counts["lexers"] += 1
+        lexer_init(self, buf)
+
+    def counting_decoded(self, stream):
+        counts["decodes"] += 1
+        return decoded(self, stream)
+
+    monkeypatch.setattr(ContentLexer, "__init__", counting_init)
+    monkeypatch.setattr(PdfDocument, "get_stream_decoded", counting_decoded)
+    got, _ = extract_text(PdfDocument(pdf))
+
+    def form_text(depth):
+        calls = form_text(depth + 1) * 3 if depth < tx._MAX_FORM_DEPTH else b""
+        return b"b" + calls + b"a(b)c"
+
+    calls = (3**tx._MAX_FORM_DEPTH - 1) // 2
+    assert calls == 3280
+    assert counts == {"lexers": calls + 1, "decodes": calls + 1}
+    assert got == form_text(1)
+    assert len(got) == calls * 6
