@@ -24,11 +24,14 @@ Covers SURVEY.md §2.2 V9-V15 and §3.2/§3.3:
 
 from __future__ import annotations
 
+from . import xrefx
 from .errors import (
     ObjectError,
     PageTreeError,
     PanicError,
     ParserError,
+    TrailerError,
+    XrefError,
 )
 from .filters import decode_stream, flate_decode
 from .header import validate_pdf_header
@@ -50,7 +53,7 @@ from .objects import (
     type_missmatch_error,
 )
 from .parser import Parser
-from .trailer import parse_trailer
+from .trailer import parse_startxref, parse_trailer
 from .xref import XRef
 
 
@@ -110,10 +113,6 @@ class PdfDocument:
         self._stream_owner: dict[int, tuple[int, int]] = {}
 
         validate_pdf_header(buf)
-
-        from .errors import TrailerError
-        from .trailer import parse_startxref
-        from . import xrefx
 
         try:
             self.trailer = parse_trailer(buf, self.size)
@@ -202,8 +201,6 @@ class PdfDocument:
     def _lookup_entry(self, indirect_ref: tuple) -> tuple:
         """Unified xref lookup: reference-exact primary section first,
         extended chain (xrefx) as fallback / for modern files."""
-        from .errors import XrefError
-
         num, gen = indirect_ref[VAL]
         if self.xref is not None:
             try:
@@ -215,16 +212,13 @@ class PdfDocument:
         return self._chain.lookup(num, gen)
 
     def _objstm_get(self, stm_num: int, index: int) -> tuple:
-        from . import xrefx
-        from .objects import ensure_int as _ensure_int
-
         stm = self._objstm_cache.get(stm_num)
         if stm is None:
             container = self.resolve(("ref", (stm_num, 0), 0))
             stream = ensure_stream(container)
             d = ensure_dict_with_key(stream[VAL], ["N", "First"])
-            n = _ensure_int(d[VAL]["N"])[VAL]
-            first = _ensure_int(d[VAL]["First"])[VAL]
+            n = ensure_int(d[VAL]["N"])[VAL]
+            first = ensure_int(d[VAL]["First"])[VAL]
             stm = xrefx.ObjStm(self.get_stream_decoded(stream), n, first)
             self._objstm_cache[stm_num] = stm
         return stm.get(index)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import re
 
 from .errors import LexerError
-from . import rawbyte
 
 # token kinds
 K_EOL = "eol"                      # never emitted by tokenize(); parser skips it
@@ -58,7 +57,6 @@ _ISIZE_MAX = 2**63 - 1
 _NUMBER_CHARS = frozenset(b"0123456789+-.")
 # Q4: 0x12 (DC2) is a delimiter here instead of 0x0C (FF) — mirror exactly
 _NON_REGULAR = frozenset(b"\x00\t\n\x12\r ()<>[]{}/%")
-_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
 _OCTAL_DIGITS = frozenset(b"01234567")
 _WS_SET = frozenset((0, 9, 10, 12, 13, 32))
 
@@ -174,65 +172,17 @@ class Lexer:
         self.has_iobj_end = False
         self.tokens: list[tuple] = []
 
-    # -- cursor helpers (src/lexer.rs:246-345) --
-
-    def _move(self) -> bool:
-        self.i += 1
-        if len(self.buffer) <= self.i:
-            return False        # self.byte stays stale, as in the reference
-        self.byte = self.buffer[self.i]
-        return True
-
-    def _confirm(self, kind: str, value=None) -> None:
-        self.tokens.append((kind, value, self.start + self.token_head_i))
-        self.token_head_i = self.i
-
-    def _cancel(self):
-        if self.tokens:
-            tok = self.tokens.pop()
-            self.token_head_i = tok[2] - self.start
-            return tok
-        self.token_head_i = 0
-        return None
-
-    def _skip(self) -> None:
-        self.token_head_i = self.i
-
-    def _is_number_char(self) -> bool:
-        return self.byte in _NUMBER_CHARS
-
-    def _is_regular_char(self) -> bool:
-        return self.byte not in _NON_REGULAR
-
-    def _assume_and_move(self, target: bytes) -> bool:
-        if not target:
-            return False
-        buf, i = self.buffer, self.i
-        if buf[i : i + len(target)] != target:
-            return False
-        self.i += len(target) - 1
-        if self.i < len(buf):
-            self.byte = buf[self.i]
-        return True
-
-    def _expect_keyword_end(self) -> None:
-        if self._move() and self._is_regular_char():
-            raise self._error("UndefinedKeyword")
-
-    def _error(self, kind: str) -> LexerError:
-        return LexerError(kind, self.start + self.token_head_i)
-
     def has_unbalanced_indirectobj(self) -> bool:
         return self.has_iobj_start != self.has_iobj_end
 
     # -- main loop (src/lexer.rs:353-688) --
     #
-    # Two implementations with identical observable behavior (tokens,
-    # offsets, errors, halt points): ``tokenize_naive`` is the literal
-    # byte-at-a-time port of the reference; ``tokenize`` is the
-    # production path using C-speed regex/find scanning. Equivalence is
-    # pinned by the ported reference vectors, the quirk tests and a
-    # differential hypothesis test (tests/test_lexer.py).
+    # ``tokenize`` scans with C-speed regex/find calls. The literal
+    # byte-at-a-time port of the reference, ``NaiveLexer.tokenize_naive``
+    # in tests/test_lexer.py, is its oracle: equivalence (tokens,
+    # offsets, errors, halt points) is pinned there by the ported
+    # reference vectors, the quirk tests and a differential hypothesis
+    # test.
 
     _WS_RUN = re.compile(rb"[\x00\t\n\x0c\r ]+")
     _NUM_RUN = re.compile(rb"[0-9+\-.]+")
@@ -474,203 +424,3 @@ class Lexer:
             raise err("UndefinedKeyword")
 
         sync()
-
-    def tokenize_naive(self) -> None:
-        is_comment = False
-        buf = self.buffer
-        n = len(buf)
-
-        while self.token_head_i < n:
-            byte = self.byte
-
-            if byte == 10:  # LF
-                self._move()
-                is_comment = False
-                self._skip()
-                continue
-
-            if byte == 13:  # CR (CRLF is one EOL)
-                if rawbyte.is_next_satisfy(buf, self.i, lambda b: b == 10):
-                    self._move()
-                self._move()
-                is_comment = False
-                self._skip()
-                continue
-
-            if is_comment:
-                self._move()
-                self._skip()
-                continue
-
-            if byte in (0, 9, 12, 32):  # whitespace set (includes FF; cf. Q4)
-                self._move()
-                self._skip()
-                continue
-
-            if byte == 0x25:  # %
-                is_comment = True
-                self._move()
-                self._skip()
-                continue
-
-            # Integer / Real (Q13)
-            if byte in _NUMBER_CHARS:
-                while self._is_number_char():
-                    if not self._move():
-                        break
-                s = buf[self.token_head_i : self.i].decode("ascii")
-                try:
-                    v = int(s)
-                    if _ISIZE_MIN <= v <= _ISIZE_MAX:
-                        self._confirm(K_INT, v)
-                        continue
-                except ValueError:
-                    pass
-                try:
-                    self._confirm(K_REAL, float(s))
-                    continue
-                except ValueError:
-                    raise self._error("ParseNumber") from None
-
-            # Name
-            if byte == 0x2F:  # /
-                self._move()
-                while self._is_regular_char():
-                    if not self._move():
-                        break
-                body = buf[self.token_head_i + 1 : self.i]
-                try:
-                    self._confirm(K_NAME, parse_name(body))
-                except ValueError:
-                    raise self._error("ParseName") from None
-                continue
-
-            # Hex string / dict start
-            if byte == 0x3C:  # <
-                if not self._move():
-                    raise self._error("FinishInObject")
-                if self.byte == 0x3C:
-                    self._move()
-                    self._confirm(K_DICT_START)
-                    continue
-                while self.byte in _HEX_DIGITS:
-                    if not self._move():
-                        raise self._error("FinishInObject")
-                if self.byte != 0x3E:  # > (Q5: whitespace inside rejected)
-                    raise self._error("UnexpectedByte")
-                body = buf[self.token_head_i + 1 : self.i]
-                try:
-                    hex_bytes = parse_hex_string(body)
-                except ValueError:
-                    raise self._error("ParseHexString") from None
-                self._move()
-                self._confirm(K_HEXSTR, hex_bytes)
-                continue
-
-            # Dict end
-            if byte == 0x3E:  # >
-                if not self._move():
-                    raise self._error("FinishInObject")
-                if self.byte != 0x3E:
-                    raise self._error("FinishInObject")
-                self._move()
-                self._confirm(K_DICT_END)
-                continue
-
-            # Literal string
-            if byte == 0x28:  # (
-                if not self._move():
-                    raise self._error("FinishInObject")
-                prev_backslash = False
-                depth = 0
-                while not (not prev_backslash and depth == 0 and self.byte == 0x29):
-                    if not prev_backslash and self.byte == 0x28:
-                        depth += 1
-                    if not prev_backslash and self.byte == 0x29 and depth != 0:
-                        depth -= 1
-                    prev_backslash = not prev_backslash and self.byte == 0x5C
-                    if not self._move():
-                        raise self._error("FinishInObject")
-                body = parse_string(buf[self.token_head_i + 1 : self.i])
-                self._move()
-                self._confirm(K_STR, body)
-                continue
-
-            if byte == 0x5B:  # [
-                self._move()
-                self._confirm(K_ARR_START)
-                continue
-
-            if byte == 0x5D:  # ]
-                self._move()
-                self._confirm(K_ARR_END)
-                continue
-
-            # Indirect ref: `R` retro-consumes two Integer tokens (Q10)
-            if byte == 0x52:  # R
-                gen_tok = self._cancel()
-                obj_tok = self._cancel()
-                if (
-                    obj_tok is not None
-                    and gen_tok is not None
-                    and obj_tok[0] == K_INT
-                    and gen_tok[0] == K_INT
-                    and obj_tok[1] > 0
-                    and gen_tok[1] >= 0
-                ):
-                    self._move()
-                    self._confirm(K_IREF, (obj_tok[1], gen_tok[1]))
-                    continue
-                raise self._error("InvalidIndirectRef")
-
-            # Indirect object start: on failed integer-pop the reference
-            # falls through to the remaining keyword checks (tokens lost)
-            if self._assume_and_move(b"obj"):
-                gen_tok = self._cancel()
-                obj_tok = self._cancel()
-                if (
-                    obj_tok is not None
-                    and gen_tok is not None
-                    and obj_tok[0] == K_INT
-                    and gen_tok[0] == K_INT
-                    and obj_tok[1] > 0
-                    and gen_tok[1] >= 0
-                ):
-                    self._move()
-                    self._confirm(K_IOBJ_START, (obj_tok[1], gen_tok[1]))
-                    self.has_iobj_start = True
-                    continue
-
-            if self._assume_and_move(b"endobj"):  # Q11: halt
-                self._expect_keyword_end()
-                self._confirm(K_IOBJ_END)
-                self.has_iobj_end = True
-                return
-
-            if self._assume_and_move(b"stream"):  # Q9/Q11
-                if (n - self.i) < 3:
-                    raise self._error("ConfirmStream")
-                self._move()
-                if self._assume_and_move(b"\n") or self._assume_and_move(b"\r\n"):
-                    self._confirm(K_IOBJ_END)
-                    self.has_iobj_end = True
-                    self._confirm(K_STREAM_START, self.start + self.i + 1)
-                    return
-                raise self._error("UnexpectedByte")
-
-            if self._assume_and_move(b"null"):
-                self._expect_keyword_end()
-                self._confirm(K_NULL)
-                continue
-
-            if self._assume_and_move(b"true"):
-                self._expect_keyword_end()
-                self._confirm(K_BOOL, True)
-                continue
-
-            if self._assume_and_move(b"false"):
-                self._expect_keyword_end()
-                self._confirm(K_BOOL, False)
-                continue
-
-            raise self._error("UndefinedKeyword")

@@ -1,8 +1,17 @@
-"""Recursive-descent PDF object parser (SURVEY.md §2.2 V8).
+"""PDF object parser (SURVEY.md §2.2 V8): one scan, one parse.
 
 Reimplements /root/reference/src/parser.rs:49-278 over the tuple object
 model in ``objects.py``. Duplicate dict keys: last one wins silently
 (quirk Q7, src/parser.rs:247-251).
+
+``Parser(buffer, start)`` builds the object tree where one compiled
+scanner, ``_OBJECT_TOKEN``, matches each token: there is no token list
+between scan and parse. A window whose shape the scanner does not build
+(any lexer error, a parse-shape error, a rare token form, nesting past
+``MAX_NESTING``) is declined, and the reference-exact path decides it:
+``Lexer.tokenize`` into a token list, then the recursive token-list
+parser below. Error kinds, texts and offsets therefore have one
+authority.
 
 Nesting is bounded: an array or dictionary more than ``MAX_NESTING``
 containers deep raises ParserError("TooDeep") instead of recursing on
@@ -11,6 +20,8 @@ would end it as a RecursionError).
 """
 
 from __future__ import annotations
+
+import re
 
 from .errors import LexerError, ParserError
 from .lexer import (
@@ -31,16 +42,162 @@ from .lexer import (
     K_REAL,
     K_STR,
     K_STREAM_START,
+    _ISIZE_MAX,
+    _ISIZE_MIN,
+    parse_hex_string,
+    parse_string,
 )
 from .objects import ensure_dict_with_key
 
 # containers (arrays, dictionaries) one object may nest; each level
-# costs two interpreter frames, so this stays far below the stack limit
+# costs two interpreter frames in the token-list parser, so this stays
+# far below the stack limit
 MAX_NESTING = 256
+
+# One object token per match, after the whitespace and comments before
+# it; the group that matched names the token (``m.lastindex``). The
+# alternatives are in the order of their frequency in real objects: a
+# name body; ``n g R`` or ``n g obj`` (two digit runs, each followed by
+# whitespace); a number run; << >> [ ]; ``endobj`` not followed by a
+# regular byte; ``stream`` and its EOL (LF with a byte after it, or
+# CRLF; Q9); a hex body; a literal-string body without nested parens;
+# null, true or false not followed by a regular byte; the end of the
+# window. Any other byte matches nothing, and the window is declined.
+(_O_NAME, _O_REF, _O_NUM, _O_DICT_START, _O_DICT_END, _O_ARR_START,
+ _O_ARR_END, _O_ENDOBJ, _O_STREAM, _O_HEX, _O_STR, _O_KEYWORD,
+ _O_END) = (1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+_WS = rb"[\x00\t\n\x0c\r ]"
+_KEYWORD_END = rb"(?![^\x00\t\n\x12\r ()<>\[\]{}/%])"
+_OBJECT_TOKEN = re.compile(
+    rb"(?:" + _WS + rb"++|%[^\r\n]*+)*+(?:"
+    rb"/([^\x00\t\n\x12\r ()<>\[\]{}/%]*+)"
+    rb"|([0-9]++)" + _WS + rb"++([0-9]++)" + _WS + rb"++(R|obj)"
+    rb"|([0-9+\-.]++)"
+    rb"|(<<)|(>>)|(\[)|(\])"
+    rb"|(endobj)" + _KEYWORD_END +
+    rb"|stream(\n(?=[\x00-\xff])|\r\n)"
+    rb"|<([0-9a-fA-F]*+)>"
+    rb"|\(([^\\()]*+(?:\\[\x00-\xff][^\\()]*+)*+)\)"
+    rb"|(null|true|false)" + _KEYWORD_END +
+    rb"|(\Z))"
+)
+_KEYWORDS = {b"null": ("null", None), b"true": ("bool", True), b"false": ("bool", False)}
+
+
+def _scan(buf: bytes, start: int):
+    """The object tree of one window, built as its tokens are matched,
+    or None to decline the window.
+
+    Reference semantics (Parser::new plus parse): the first object of
+    the window, once every byte up to the halt point (Q11: ``endobj`` or
+    ``stream``) has lexed cleanly. ``n g obj`` opens only at the top, and
+    its value must be followed by the halting keyword. A window scanned
+    cleanly to its end with ``obj`` still open raises
+    IndirectObjMissMatch, the one error raised here; every other error
+    is declined.
+    """
+    match = _OBJECT_TOKEN.match
+    stack = []      # enclosing frames: (container, pending key, offset)
+    cur = None      # innermost open container: list (array) or dict
+    key = None      # the innermost dict's pending key
+    coff = 0        # offset of cur
+    result = None   # the first complete top-level object
+    iobj_off = -1   # offset of an open ``n g obj``
+    pos = 0
+    while True:
+        m = match(buf, pos)
+        if m is None:
+            return None
+        pos = m.end()
+        k = m.lastindex
+        if k == _O_NAME:
+            g = m[1]
+            try:
+                name = g.decode("ascii")
+            except UnicodeDecodeError:
+                return None
+            if key is None and cur.__class__ is dict:
+                key = name
+                continue
+            v = ("name", name, start + pos - len(g) - 1)
+        elif k == _O_REF:
+            num = int(m[2])
+            gen = int(m[3])
+            if num == 0 or num > _ISIZE_MAX or gen > _ISIZE_MAX:
+                return None
+            if m[4] == b"R":
+                v = ("ref", (num, gen), start + m.start(2))
+            elif cur is None and result is None and iobj_off < 0:
+                iobj_off = start + m.start(2)
+                continue
+            else:
+                return None
+        elif k == _O_NUM:
+            g = m[5]
+            try:
+                v = int(g)
+                if _ISIZE_MIN <= v <= _ISIZE_MAX:
+                    v = ("int", v, start + pos - len(g))
+                else:
+                    v = ("real", float(g), start + pos - len(g))
+            except ValueError:
+                try:
+                    v = ("real", float(g), start + pos - len(g))
+                except ValueError:
+                    return None
+        elif k == _O_DICT_START or k == _O_ARR_START:
+            if len(stack) >= MAX_NESTING:
+                return None
+            stack.append((cur, key, coff))
+            cur = {} if k == _O_DICT_START else []
+            key = None
+            coff = start + m.start(k)
+            continue
+        elif k == _O_DICT_END:
+            if key is not None or cur.__class__ is not dict:
+                return None
+            v = ("dict", cur, coff)
+            cur, key, coff = stack.pop()
+        elif k == _O_ARR_END:
+            if cur.__class__ is not list:
+                return None
+            v = ("array", cur, coff)
+            cur, key, coff = stack.pop()
+        elif k == _O_ENDOBJ or k == _O_STREAM:
+            if iobj_off < 0 or result is None or cur is not None:
+                return None
+            if k == _O_ENDOBJ:
+                return ("iobj", result, iobj_off)
+            if result[0] != "dict" or "Length" not in result[1]:
+                return None
+            return ("stream", result, start + pos)
+        elif k == _O_HEX:
+            g = m[12]
+            v = ("string", parse_hex_string(g), start + pos - len(g) - 2)
+        elif k == _O_STR:
+            g = m[13]
+            v = ("string", parse_string(g), start + pos - len(g) - 2)
+        elif k == _O_KEYWORD:
+            g = m[14]
+            v = _KEYWORDS[g] + (start + pos - len(g),)
+        else:  # end of window
+            if iobj_off >= 0:
+                raise ParserError("IndirectObjMissMatch", start)
+            return result
+        # place the value
+        if key is not None:
+            cur[key] = v  # Q7: last key wins
+            key = None
+        elif cur.__class__ is list:
+            cur.append(v)
+        elif cur is not None or (result is not None and iobj_off >= 0):
+            return None
+        elif result is None:
+            result = v
 
 
 class Parser:
-    """Tokenize one buffer window, then parse a single object tree.
+    """One object tree from one buffer window.
 
     ``Parser(buffer, start)`` mirrors Parser::new (src/parser.rs:57-81):
     lexer errors become ParserError("Lexer"); an unbalanced obj/endobj
@@ -49,9 +206,13 @@ class Parser:
     retries exactly these two kinds, src/object.rs:341-373).
     """
 
-    __slots__ = ("token_i", "byte_offset", "tokens")
+    __slots__ = ("token_i", "byte_offset", "tokens", "obj")
 
     def __init__(self, buffer: bytes, buffer_start_offset: int = 0):
+        self.byte_offset = buffer_start_offset
+        self.obj = _scan(buffer, buffer_start_offset)
+        if self.obj is not None:
+            return
         try:
             lexer = Lexer(buffer, buffer_start_offset)
             lexer.tokenize()
@@ -60,11 +221,14 @@ class Parser:
         if lexer.has_unbalanced_indirectobj():
             raise ParserError("IndirectObjMissMatch", buffer_start_offset)
         self.tokens = lexer.tokens
-        self.byte_offset = buffer_start_offset
         self.token_i = 0
 
     def parse(self) -> tuple:
+        if self.obj is not None:
+            return self.obj
         return self._parse_object(0)
+
+    # -- the token-list parser: declined windows and the test oracle --
 
     def _next(self):
         i = self.token_i

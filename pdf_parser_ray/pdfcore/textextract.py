@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from binascii import unhexlify
+from collections import OrderedDict
 
 from .errors import TextExtractError
 from .lexer import (
@@ -362,6 +363,41 @@ class ToUnicodeCMap:
         return "".join(out)
 
 
+# total raw-stream bytes of the keys a CMapCache holds before it
+# evicts its least recently used CMaps
+CMAP_CACHE_KEY_BYTES = 4 << 20
+
+
+class CMapCache:
+    """Parsed ToUnicode CMaps keyed by their raw stream bytes: a
+    least-recently-used memo bounded by the total bytes of its keys
+    (``CMAP_CACHE_KEY_BYTES``). A pure memo, so an eviction only costs a
+    rebuild, never a different output. Holds one warm actor's CMaps."""
+
+    __slots__ = ("entries", "key_bytes")
+
+    def __init__(self):
+        self.entries: OrderedDict[bytes, ToUnicodeCMap] = OrderedDict()
+        self.key_bytes = 0
+
+    def get(self, key: bytes) -> ToUnicodeCMap | None:
+        cmap = self.entries.get(key)
+        if cmap is not None:
+            self.entries.move_to_end(key)
+        return cmap
+
+    def __setitem__(self, key: bytes, cmap: ToUnicodeCMap) -> None:
+        entries = self.entries
+        if key in entries:
+            self.key_bytes -= len(key)
+        entries[key] = cmap
+        entries.move_to_end(key)
+        self.key_bytes += len(key)
+        while self.key_bytes > CMAP_CACHE_KEY_BYTES:
+            old, _ = entries.popitem(last=False)
+            self.key_bytes -= len(old)
+
+
 class _Font:
     __slots__ = ("cmap", "table")
 
@@ -374,11 +410,11 @@ class _Font:
             self.table = {b: enc_map.get(b, "�") for b in range(256)}
 
 
-def _page_fonts(doc, page, cmap_cache: dict | None = None) -> dict[str, _Font]:
+def _page_fonts(doc, page, cmap_cache: CMapCache | None = None) -> dict[str, _Font]:
     """Resolve the page's /Resources /Font map to _Font objects.
 
-    ``cmap_cache`` maps ToUnicode stream bytes (hash) -> ToUnicodeCMap;
-    pass a per-actor dict to amortize CMap parsing across documents.
+    ``cmap_cache`` maps raw ToUnicode stream bytes -> ToUnicodeCMap;
+    pass a per-actor CMapCache to amortize CMap parsing across documents.
     """
     resources = page.node_dict[VAL].get("Resources")
     if resources is None:
@@ -389,7 +425,7 @@ def _page_fonts(doc, page, cmap_cache: dict | None = None) -> dict[str, _Font]:
     return _fonts_from_resources(doc, resources, cmap_cache)
 
 
-def _fonts_from_resources(doc, resources, cmap_cache: dict | None = None) -> dict[str, _Font]:
+def _fonts_from_resources(doc, resources, cmap_cache: CMapCache | None = None) -> dict[str, _Font]:
     fonts: dict[str, _Font] = {}
     if resources is None:
         return fonts
@@ -504,7 +540,7 @@ def _xobjects_from_resources(doc, resources) -> dict:
     return dict(xobj[VAL]) if xobj[TAG] == "dict" else {}
 
 
-def extract_page_text(doc, page, cmap_cache: dict | None = None) -> bytes:
+def extract_page_text(doc, page, cmap_cache: CMapCache | None = None) -> bytes:
     """Run the text operators of one page; returns UTF-8-ish bytes.
 
     ``Do`` on a /Subtype /Form XObject recurses into the form's content
@@ -656,7 +692,7 @@ def extract_page_text(doc, page, cmap_cache: dict | None = None) -> bytes:
     return bytes(out)
 
 
-def extract_text(doc, cmap_cache: dict | None = None) -> tuple[bytes, list[dict]]:
+def extract_text(doc, cmap_cache: CMapCache | None = None) -> tuple[bytes, list[dict]]:
     """Document text + per-page spans.
 
     Returns ``(text_bytes, spans)`` where spans are

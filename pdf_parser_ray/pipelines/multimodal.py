@@ -31,7 +31,7 @@ from ..pdfcore.htmlextract import detect_charset, extract_outlinks
 from ..pdfcore.mp3 import decode_mp3_meta, encode_mp3
 from ..pdfcore.pdfbuild import build_text_pdf
 from ..pdfcore.png import decode_png, encode_png
-from ..pdfcore.textextract import extract_text
+from ..pdfcore.textextract import CMapCache, extract_text
 from ..pdfcore.wav import decode_wav_samples, encode_wav
 from ..sources.synth import image_pixels, read_pages
 from .extract_pipeline import actor_pool
@@ -137,13 +137,13 @@ class RowStage:
     """Actor stage running one row function over a batch.
 
     ``fn(row, cache)`` yields zero or more output row dicts for each
-    input row; ``cache`` is a dict that lives as long as the actor (the
-    warm CMap cache of ``encrypted_text_row``)."""
+    input row; ``cache`` is a CMapCache that lives as long as the actor
+    (the warm CMap cache of ``encrypted_text_row``)."""
 
     def __init__(self, fn, schema: pa.Schema):
         self.fn = fn
         self.schema = schema
-        self.cache: dict = {}
+        self.cache = CMapCache()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = [out for row in batch.to_pylist() for out in self.fn(row, self.cache)]

@@ -29,7 +29,7 @@ import pyarrow as pa
 from ..pdfcore.document import PdfDocument
 from ..pdfcore.errors import PdfError
 from ..pdfcore.htmlextract import extract_html_text
-from ..pdfcore.textextract import extract_text
+from ..pdfcore.textextract import CMapCache, extract_text
 
 SPAN_TYPE = pa.struct(
     [
@@ -69,7 +69,7 @@ def _failed(error: str) -> tuple:
     return False, error, b"", [], 0, 0
 
 
-def extract_row(kind: str, payload: bytes, cmap_cache: dict) -> tuple:
+def extract_row(kind: str, payload: bytes, cmap_cache: CMapCache) -> tuple:
     """One document -> ``(ok, error, text, spans, n_pages, n_objects)``.
 
     Never raises: a ``PdfError`` becomes its ``describe()`` string and
@@ -99,7 +99,7 @@ class Extractor:
     """
 
     def __init__(self, giant_cap: int | None = GIANT_ROW_BYTES):
-        self.cmap_cache: dict = {}
+        self.cmap_cache = CMapCache()
         self.giant_cap = giant_cap
 
     def __call__(self, batch: pa.Table) -> pa.Table:

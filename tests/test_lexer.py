@@ -242,8 +242,289 @@ pdfish = st.lists(st.sampled_from(_FRAGMENTS), min_size=1, max_size=12).map(
 )
 
 
+from pdf_parser_ray.pdfcore import rawbyte
+from pdf_parser_ray.pdfcore.lexer import (
+    K_ARR_END,
+    K_ARR_START,
+    K_BOOL,
+    K_DICT_END,
+    K_DICT_START,
+    K_HEXSTR,
+    K_INT,
+    K_IOBJ_END,
+    K_IOBJ_START,
+    K_IREF,
+    K_NAME,
+    K_NULL,
+    K_REAL,
+    K_STR,
+    K_STREAM_START,
+    _ISIZE_MAX,
+    _ISIZE_MIN,
+    _NON_REGULAR,
+    _NUMBER_CHARS,
+    parse_name,
+)
+
+_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
+
+
+class NaiveLexer(Lexer):
+    """The literal byte-at-a-time port of the reference tokenizer
+    (src/lexer.rs:246-688), kept as the oracle of
+    ``Lexer.tokenize``: same tokens, offsets, errors and halt points."""
+
+    # -- cursor helpers (src/lexer.rs:246-345) --
+
+    def _move(self) -> bool:
+        self.i += 1
+        if len(self.buffer) <= self.i:
+            return False        # self.byte stays stale, as in the reference
+        self.byte = self.buffer[self.i]
+        return True
+
+    def _confirm(self, kind: str, value=None) -> None:
+        self.tokens.append((kind, value, self.start + self.token_head_i))
+        self.token_head_i = self.i
+
+    def _cancel(self):
+        if self.tokens:
+            tok = self.tokens.pop()
+            self.token_head_i = tok[2] - self.start
+            return tok
+        self.token_head_i = 0
+        return None
+
+    def _skip(self) -> None:
+        self.token_head_i = self.i
+
+    def _is_number_char(self) -> bool:
+        return self.byte in _NUMBER_CHARS
+
+    def _is_regular_char(self) -> bool:
+        return self.byte not in _NON_REGULAR
+
+    def _assume_and_move(self, target: bytes) -> bool:
+        if not target:
+            return False
+        buf, i = self.buffer, self.i
+        if buf[i : i + len(target)] != target:
+            return False
+        self.i += len(target) - 1
+        if self.i < len(buf):
+            self.byte = buf[self.i]
+        return True
+
+    def _expect_keyword_end(self) -> None:
+        if self._move() and self._is_regular_char():
+            raise self._error("UndefinedKeyword")
+
+    def _error(self, kind: str) -> LexerError:
+        return LexerError(kind, self.start + self.token_head_i)
+
+    def tokenize_naive(self) -> None:
+        is_comment = False
+        buf = self.buffer
+        n = len(buf)
+
+        while self.token_head_i < n:
+            byte = self.byte
+
+            if byte == 10:  # LF
+                self._move()
+                is_comment = False
+                self._skip()
+                continue
+
+            if byte == 13:  # CR (CRLF is one EOL)
+                if rawbyte.is_next_satisfy(buf, self.i, lambda b: b == 10):
+                    self._move()
+                self._move()
+                is_comment = False
+                self._skip()
+                continue
+
+            if is_comment:
+                self._move()
+                self._skip()
+                continue
+
+            if byte in (0, 9, 12, 32):  # whitespace set (includes FF; cf. Q4)
+                self._move()
+                self._skip()
+                continue
+
+            if byte == 0x25:  # %
+                is_comment = True
+                self._move()
+                self._skip()
+                continue
+
+            # Integer / Real (Q13)
+            if byte in _NUMBER_CHARS:
+                while self._is_number_char():
+                    if not self._move():
+                        break
+                s = buf[self.token_head_i : self.i].decode("ascii")
+                try:
+                    v = int(s)
+                    if _ISIZE_MIN <= v <= _ISIZE_MAX:
+                        self._confirm(K_INT, v)
+                        continue
+                except ValueError:
+                    pass
+                try:
+                    self._confirm(K_REAL, float(s))
+                    continue
+                except ValueError:
+                    raise self._error("ParseNumber") from None
+
+            # Name
+            if byte == 0x2F:  # /
+                self._move()
+                while self._is_regular_char():
+                    if not self._move():
+                        break
+                body = buf[self.token_head_i + 1 : self.i]
+                try:
+                    self._confirm(K_NAME, parse_name(body))
+                except ValueError:
+                    raise self._error("ParseName") from None
+                continue
+
+            # Hex string / dict start
+            if byte == 0x3C:  # <
+                if not self._move():
+                    raise self._error("FinishInObject")
+                if self.byte == 0x3C:
+                    self._move()
+                    self._confirm(K_DICT_START)
+                    continue
+                while self.byte in _HEX_DIGITS:
+                    if not self._move():
+                        raise self._error("FinishInObject")
+                if self.byte != 0x3E:  # > (Q5: whitespace inside rejected)
+                    raise self._error("UnexpectedByte")
+                body = buf[self.token_head_i + 1 : self.i]
+                try:
+                    hex_bytes = parse_hex_string(body)
+                except ValueError:
+                    raise self._error("ParseHexString") from None
+                self._move()
+                self._confirm(K_HEXSTR, hex_bytes)
+                continue
+
+            # Dict end
+            if byte == 0x3E:  # >
+                if not self._move():
+                    raise self._error("FinishInObject")
+                if self.byte != 0x3E:
+                    raise self._error("FinishInObject")
+                self._move()
+                self._confirm(K_DICT_END)
+                continue
+
+            # Literal string
+            if byte == 0x28:  # (
+                if not self._move():
+                    raise self._error("FinishInObject")
+                prev_backslash = False
+                depth = 0
+                while not (not prev_backslash and depth == 0 and self.byte == 0x29):
+                    if not prev_backslash and self.byte == 0x28:
+                        depth += 1
+                    if not prev_backslash and self.byte == 0x29 and depth != 0:
+                        depth -= 1
+                    prev_backslash = not prev_backslash and self.byte == 0x5C
+                    if not self._move():
+                        raise self._error("FinishInObject")
+                body = parse_string(buf[self.token_head_i + 1 : self.i])
+                self._move()
+                self._confirm(K_STR, body)
+                continue
+
+            if byte == 0x5B:  # [
+                self._move()
+                self._confirm(K_ARR_START)
+                continue
+
+            if byte == 0x5D:  # ]
+                self._move()
+                self._confirm(K_ARR_END)
+                continue
+
+            # Indirect ref: `R` retro-consumes two Integer tokens (Q10)
+            if byte == 0x52:  # R
+                gen_tok = self._cancel()
+                obj_tok = self._cancel()
+                if (
+                    obj_tok is not None
+                    and gen_tok is not None
+                    and obj_tok[0] == K_INT
+                    and gen_tok[0] == K_INT
+                    and obj_tok[1] > 0
+                    and gen_tok[1] >= 0
+                ):
+                    self._move()
+                    self._confirm(K_IREF, (obj_tok[1], gen_tok[1]))
+                    continue
+                raise self._error("InvalidIndirectRef")
+
+            # Indirect object start: on failed integer-pop the reference
+            # falls through to the remaining keyword checks (tokens lost)
+            if self._assume_and_move(b"obj"):
+                gen_tok = self._cancel()
+                obj_tok = self._cancel()
+                if (
+                    obj_tok is not None
+                    and gen_tok is not None
+                    and obj_tok[0] == K_INT
+                    and gen_tok[0] == K_INT
+                    and obj_tok[1] > 0
+                    and gen_tok[1] >= 0
+                ):
+                    self._move()
+                    self._confirm(K_IOBJ_START, (obj_tok[1], gen_tok[1]))
+                    self.has_iobj_start = True
+                    continue
+
+            if self._assume_and_move(b"endobj"):  # Q11: halt
+                self._expect_keyword_end()
+                self._confirm(K_IOBJ_END)
+                self.has_iobj_end = True
+                return
+
+            if self._assume_and_move(b"stream"):  # Q9/Q11
+                if (n - self.i) < 3:
+                    raise self._error("ConfirmStream")
+                self._move()
+                if self._assume_and_move(b"\n") or self._assume_and_move(b"\r\n"):
+                    self._confirm(K_IOBJ_END)
+                    self.has_iobj_end = True
+                    self._confirm(K_STREAM_START, self.start + self.i + 1)
+                    return
+                raise self._error("UnexpectedByte")
+
+            if self._assume_and_move(b"null"):
+                self._expect_keyword_end()
+                self._confirm(K_NULL)
+                continue
+
+            if self._assume_and_move(b"true"):
+                self._expect_keyword_end()
+                self._confirm(K_BOOL, True)
+                continue
+
+            if self._assume_and_move(b"false"):
+                self._expect_keyword_end()
+                self._confirm(K_BOOL, False)
+                continue
+
+            raise self._error("UndefinedKeyword")
+
+
 def run_lexer(buf, naive):
-    lx = Lexer(buf, 7)
+    lx = NaiveLexer(buf, 7)
     try:
         (lx.tokenize_naive if naive else lx.tokenize)()
         outcome = ("ok", lx.tokens, lx.has_unbalanced_indirectobj())

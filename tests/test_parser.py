@@ -206,3 +206,153 @@ def test_deeply_nested_page_dict_is_a_parser_error_row():
     for name in ("array1000", "array2000", "array5000", "dict1000"):
         assert rows[name]["ok"] is False
         assert rows[name]["error"].startswith("parser: objects nested too deep")
+
+
+# -- the fused scanner against the reference path -----------------------------
+#
+# The oracle is the reference path as it stood before the scanner: the
+# byte-at-a-time ``NaiveLexer.tokenize_naive`` into a token list, then
+# the token-list parser (``Parser._parse_object``, which declined windows
+# still use).
+
+from hypothesis import given, settings, strategies as st
+
+from pdf_parser_ray.pdfcore.errors import LexerError
+from pdf_parser_ray.pdfcore.lexer import Lexer
+from pdf_parser_ray.pdfcore.parser import MAX_NESTING
+
+from test_lexer import NaiveLexer
+
+
+def parse_naive(buf: bytes, start: int) -> tuple:
+    try:
+        lexer = NaiveLexer(buf, start)
+        lexer.tokenize_naive()
+    except LexerError as e:
+        raise ParserError("Lexer", start, inner=e) from e
+    if lexer.has_unbalanced_indirectobj():
+        raise ParserError("IndirectObjMissMatch", start)
+    parser = Parser.__new__(Parser)
+    parser.tokens, parser.token_i, parser.byte_offset = lexer.tokens, 0, start
+    return parser._parse_object(0)
+
+
+def outcome(fn, buf: bytes, start: int = 7):
+    try:
+        return ("ok", fn(buf, start))
+    except ParserError as e:
+        return ("err", e.kind, e.byte_offset, e.describe())
+
+
+def assert_every_cut_agrees(buf: bytes) -> None:
+    """Every prefix of ``buf``, as the growing resolver window sees it."""
+    for cut in range(len(buf) + 1):
+        window = buf[:cut]
+        assert outcome(parse_object, window) == outcome(parse_naive, window), window
+
+
+_OBJECT_FRAGMENTS = [
+    # whitespace, comments and junk
+    b" ", b"\n", b"\r", b"\r\n", b"\t", b"\x0c", b"\x12", b"\x00",
+    b"% comment\n", b"%c\r", b"%", b"qq", b"{", b"}",
+    # numbers: ints, reals, isize bounds and overflow, bad runs
+    b"0", b"12", b"-7", b"+3", b"4.", b".5", b"-.002", b"1.2.3", b".", b"--",
+    b"+", b"9223372036854775807", b"9223372036854775808",
+    b"-9223372036854775808", b"-9223372036854775809", b"99999999999999999999",
+    # references and object headers
+    b"1 0 R", b"12 3 R", b"0 0 R", b"+1 0 R", b"1 -1 R", b"1 0 %c\nR",
+    b"1 0R", b"R", b"1 0 obj", b"0 0 obj", b"2 0 obj\n", b"1 0 %c\nobj",
+    b"1 0obj", b"obj", b"9223372036854775808 0 R", b"1\x0c0\x00R",
+    # names
+    b"/Name", b"/", b"/A\xffB", b"/A\x0cB", b"/A\x12B", b"/Length", b"/Type",
+    # hex strings
+    b"<a0e0>", b"<a0e>", b"<>", b"<a0 e0>", b"<", b"<g>", b">",
+    # literal strings
+    b"(str)", b"(a\\tb)", b"(\\053", b"(\\053 )", b"(()", b"(a(b)c)", b"()",
+    b"(", b")", b"(a\\)", b"(\\\\)", b"(x\\",
+    # containers
+    b"<<", b">>", b"[", b"]", b"<< >>", b"[ ]", b"<< /Length 3 >>",
+    b"<< /Type /Page /Kids [3 0 R] >>",
+    # halting keywords
+    b"endobj", b"endobjx", b"endobj ", b"stream", b"stream\n", b"stream\nXY",
+    b"stream\r\nXY", b"stream\r\n", b"stream\rX", b"streamX",
+    # keywords
+    b"null", b"true", b"false", b"nullx", b"true)",
+]
+
+object_windows = st.lists(
+    st.sampled_from(_OBJECT_FRAGMENTS), min_size=1, max_size=10
+).map(b" ".join) | st.lists(
+    st.sampled_from(_OBJECT_FRAGMENTS), min_size=1, max_size=10
+).map(b"".join)
+
+
+@given(object_windows)
+@settings(max_examples=600, deadline=None)
+def test_scanner_matches_the_reference_path(buf):
+    assert_every_cut_agrees(buf)
+
+
+@pytest.mark.parametrize(
+    "buf",
+    [
+        b"1 0 obj\n<< /Length 3 /Filter /FlateDecode >>\nstream\nabc",
+        b"1 0 obj\r\n<< /Length 3 >>\r\nstream\r\nabc\r\nendstream",
+        b"4 0 obj\n<< /Type /Page /Parent 2 0 R /MediaBox [0 0 612 792]"
+        b" /Resources << /Font << /F1 5 0 R >> >> /Contents 6 0 R >>\nendobj\n",
+        b"<< /Size 7 /Root 1 0 R /ID [<a0e0> <00ff>] /Info 9 0 R >>\n",
+        b"5 1 0 obj 6 endobj",
+        b"5 [1 2] << /A (x) >> ]",
+        b"1 0 obj 5 6 endobj",
+        b"1 0 obj << /A >> endobj",
+        b"1 0 obj << 3 /A >> endobj",
+        b"1 0 obj [1 0 obj 2 endobj",
+        b"1 0 obj << /Len 3 >>\nstream\nabc",
+        b"1 0 obj [1 2] stream\nabc",
+        b"<< /k 1 /k 2 >>",
+    ],
+)
+def test_scanner_matches_the_reference_path_on_whole_objects(buf):
+    assert_every_cut_agrees(buf)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
+@pytest.mark.parametrize(
+    "open_, close",
+    [(b"[", b"]"), (b"<< /A ", b" >>")],
+    ids=["array", "dict"],
+)
+@pytest.mark.parametrize("obj", [False, True], ids=["bare", "obj"])
+def test_scanner_matches_the_reference_path_at_the_nesting_bound(depth, open_, close, obj):
+    body = open_ * depth + b"0" + close * depth
+    assert_every_cut_agrees(b"1 0 obj\n" + body + b"\nendobj" if obj else body)
+
+
+def test_no_window_of_the_benchmark_shapes_is_declined(monkeypatch):
+    """Every PDF shape the synthetic corpus is made of (show variant x
+    filter x xref kind x /Length form, images, Form XObjects: one full
+    variant period) is built by the scanner alone, so a scanner that
+    silently declines, correct but slow, fails here."""
+    from pdf_parser_ray.pdfcore.document import PdfDocument
+    from pdf_parser_ray.pdfcore.textextract import extract_text
+    from pdf_parser_ray.sources.synth import make_pdf_payload
+
+    counts = {"declined": 0, "parsed": 0}
+    tokenize, init = Lexer.tokenize, Parser.__init__
+
+    def counted_tokenize(lexer):
+        counts["declined"] += 1
+        tokenize(lexer)
+
+    def counted_init(parser, *args):
+        counts["parsed"] += 1
+        init(parser, *args)
+
+    monkeypatch.setattr(Lexer, "tokenize", counted_tokenize)
+    monkeypatch.setattr(Parser, "__init__", counted_init)
+    for doc_id in range(0, 1440, 3):
+        pdf = make_pdf_payload(doc_id, f"doc {doc_id} the quick (brown) fox")
+        text, _ = extract_text(PdfDocument(pdf), {})
+        assert text == f"doc {doc_id} the quick (brown) fox".encode()
+    assert counts["parsed"] > 480 * 4
+    assert counts["declined"] == 0

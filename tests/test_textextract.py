@@ -697,3 +697,59 @@ def test_self_calling_form_is_scanned_once_per_call(monkeypatch):
     assert counts == {"lexers": calls + 1, "decodes": calls + 1}
     assert got == form_text(1)
     assert len(got) == calls * 6
+
+
+# -- the bounded CMap cache ---------------------------------------------------
+
+
+def test_cmap_cache_is_bounded_by_its_key_bytes():
+    """2,000 distinct 16 KiB ToUnicode streams: the cache's key bytes
+    stay under CMAP_CACHE_KEY_BYTES, and the least recently used go."""
+    from pdf_parser_ray.pdfcore.textextract import CMAP_CACHE_KEY_BYTES, CMapCache
+
+    cache = CMapCache()
+    cmap = ToUnicodeCMap(pdfbuild._cmap_stream(["a"])[0])
+    first = b"%06d" % 0 + b"x" * (16 * 1024 - 6)
+    cache[first] = cmap
+    for i in range(1, 2000):
+        key = b"%06d" % i + b"x" * (16 * 1024 - 6)
+        assert cache.get(key) is None
+        cache[key] = cmap
+        assert cache.get(first) is cmap  # read each time: never the oldest
+        assert cache.key_bytes <= CMAP_CACHE_KEY_BYTES
+        assert cache.key_bytes == sum(map(len, cache.entries))
+    assert len(cache.entries) == CMAP_CACHE_KEY_BYTES // (16 * 1024)
+    assert cache.get(b"%06d" % 1 + b"x" * (16 * 1024 - 6)) is None
+    assert cache.get(key) is cmap
+
+
+def test_cmap_cache_eviction_keeps_outputs(monkeypatch):
+    """A cache that evicts (bound cut to about three small CMaps) gives
+    the text a fresh cache per document gives."""
+    import random
+
+    from pdf_parser_ray.pdfcore import textextract
+    from pdf_parser_ray.pdfcore.textextract import CMapCache
+
+    monkeypatch.setattr(textextract, "CMAP_CACHE_KEY_BYTES", 1000)
+    words = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf"]
+    kinds = [
+        pdfbuild.build_text_pdf(
+            " ".join(words[(i * k) % len(words)] for k in range(1, 4)),
+            show_variant="cmap",
+            stream_filter=("none", "flate", "lzw")[i % 3],
+        )
+        for i in range(6)
+    ]
+    rng = random.Random(0)
+    pdfs = [rng.choice(kinds) for _ in range(40)]
+    fresh = [extract_text(PdfDocument(pdf), CMapCache()) for pdf in pdfs]
+    builds = []
+    init = ToUnicodeCMap.__init__
+    monkeypatch.setattr(
+        ToUnicodeCMap, "__init__", lambda cmap, data: builds.append(init(cmap, data))
+    )
+    cache = CMapCache()
+    assert [extract_text(PdfDocument(pdf), cache) for pdf in pdfs] == fresh
+    assert len(kinds) < len(builds) < len(pdfs)  # evictions and hits both ran
+    assert 0 < cache.key_bytes <= 1000
