@@ -29,18 +29,23 @@ Three consumers read the events, each with its own rules:
 - container blocks (div, article, section, main, ul, ol, table, tr,
   header, body, ...) flush any pending inline text as a line
 - <br> flushes the current line
-- text runs are entity-decoded via html.unescape
+- text runs are entity-decoded by ``_unescape``, which gives the bytes
+  of ``html.unescape``
 - output = lines joined with "\\n", encoded UTF-8
 
 ``extract_main_content`` keeps the same suppression and line rules,
 tracks the open containers and the text inside <a>, and returns the
-container with the best link-density score. ``extract_outlinks`` reads
-the attributes of every <a> tag, suppressed or not. Unclosed tags
+container with the best link-density score. Both text consumers ask
+the scanner to apply suppression (``_markup(buf, suppress=True)``), so
+neither sees an event inside a suppressed container. Unclosed tags
 degrade gracefully (suppression depth never goes negative).
+``extract_outlinks`` reads the attributes of every <a> tag, suppressed
+or not.
 """
 
 from __future__ import annotations
 
+import functools
 import html as _htmlmod
 import re
 
@@ -73,7 +78,37 @@ _RAWTEXT_CLOSE = {
     for name in (b"script", b"style", b"textarea", b"title")
 }
 
-_unescape = _htmlmod.unescape
+# while suppressed: a run of text-plus-tag events whose tag neither
+# changes the depth nor opens a raw-text element, skipped in one match;
+# possessive, so a ">"-less tail costs one linear pass
+_PLAIN_RUN = re.compile(
+    rb"(?:[^<]*+</?+(?!(?:"
+    + b"|".join(sorted(_SUPPRESS.union(_RAWTEXT_CLOSE)))
+    + rb")(?![a-zA-Z0-9-]))[a-zA-Z][a-zA-Z0-9-]*+[^>]*+>)*+",
+    re.IGNORECASE,
+)
+
+# html._charref, copied: a test pins it against the standard library's
+_CHARREF = re.compile(r"&(#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;]{1,32};?)")
+_CHARREF_MEMO = 1024
+
+
+@functools.lru_cache(maxsize=_CHARREF_MEMO)
+def _charref_text(ref: str) -> str:
+    return _htmlmod.unescape("&" + ref)
+
+
+def _unescape(s: str) -> str:
+    """``html.unescape(s)``, with one C-level split instead of a Python
+    callback per entity. ``html.unescape`` replaces each ``_CHARREF``
+    match by a value that depends only on the match's group, and the
+    group alone (``"&" + ref``) matches the same way, so decoding the
+    odd pieces of the split one at a time gives the same string."""
+    if "&" not in s:
+        return s
+    parts = _CHARREF.split(s)
+    parts[1::2] = map(_charref_text, parts[1::2])
+    return "".join(parts)
 
 
 def _decode_bytes(buf: bytes) -> str:
@@ -83,7 +118,7 @@ def _decode_bytes(buf: bytes) -> str:
         return buf.decode("latin-1")
 
 
-def _markup(buf: bytes):
+def _markup(buf: bytes, suppress: bool = False):
     """Scan ``buf`` into ``(text, closing, name, rest)`` events, at most
     one per ``<`` plus one for the trailing text (rules: module
     docstring).
@@ -92,24 +127,41 @@ def _markup(buf: bytes):
     whitespace-only). For a tag, ``closing`` is ``b"/"`` or ``b""``,
     ``name`` the lowercased name and ``rest`` the tag body after it.
     Otherwise ``name`` is None and ``rest`` the markup taken as literal
-    text (``b""`` for none: skipped markup, a raw-text element, the end)."""
+    text (``b""`` for none: skipped markup, a raw-text element, the end).
+
+    With ``suppress``, the scanner applies the text consumers'
+    suppression: a ``_SUPPRESS`` tag is never yielded, only the text
+    before it while the depth is 0; an opening one that does not end in
+    ``/`` raises the depth, a closing one lowers it (never below 0), and
+    while the depth is above 0 nothing is yielded."""
     find = buf.find
     match_event = _EVENT_RE.match
+    skip_plain = _PLAIN_RUN.match
     n = len(buf)
     i = 0
+    depth = 0
     while True:
+        if depth:
+            i = skip_plain(buf, i).end()
         m = match_event(buf, i)
         if m is not None:
             text, closing, name, rest = m.groups()
             name = name.lower()
             i = m.end()
-            if closing or name not in _RAWTEXT_CLOSE:
+            if not closing and name in _RAWTEXT_CLOSE:
+                close = _RAWTEXT_CLOSE[name].search(buf, i)
+                i = n if close is None else close.end()
+                if text and not depth:
+                    yield text, b"", None, b""
+            elif suppress and name in _SUPPRESS:
+                if text and not depth:
+                    yield text, b"", None, b""
+                if closing:
+                    depth = max(0, depth - 1)
+                elif not rest.rstrip().endswith(b"/"):
+                    depth += 1
+            elif not depth:
                 yield text, closing, name, rest
-                continue
-            close = _RAWTEXT_CLOSE[name].search(buf, i)
-            i = n if close is None else close.end()
-            if text:
-                yield text, b"", None, b""
             continue
         # the "<" ending this text run opens no common tag, or is missing
         lt = find(b"<", i)
@@ -133,7 +185,7 @@ def _markup(buf: bytes):
             else:  # "a < b"
                 i = lt + 1
                 literal = b"<"
-        if text or literal:
+        if (text or literal) and not depth:
             yield text, b"", None, literal
         if i == n:
             return
@@ -147,7 +199,6 @@ def extract_html_text(buf: bytes) -> tuple[bytes, list[dict]]:
     """
     lines: list[str] = []
     cur: list[str] = []
-    suppress_depth = 0
 
     def flush(force) -> None:
         text = "".join(cur)
@@ -155,23 +206,12 @@ def extract_html_text(buf: bytes) -> tuple[bytes, list[dict]]:
         if text or force:
             lines.append(text)
 
-    for text, closing, name, rest in _markup(buf):
-        if suppress_depth == 0:
-            if text:
-                cur.append(_unescape(_decode_bytes(text)))
-            if name is None:
-                if rest:
-                    cur.append(_unescape(_decode_bytes(rest)))
-                continue
-        elif name is None:
-            continue
-        if name in _SUPPRESS:
-            if closing:
-                suppress_depth = max(0, suppress_depth - 1)
-            elif not rest.rstrip().endswith(b"/"):
-                suppress_depth += 1
-        elif suppress_depth > 0:
-            continue
+    for text, closing, name, rest in _markup(buf, suppress=True):
+        if text:
+            cur.append(_unescape(_decode_bytes(text)))
+        if name is None:
+            if rest:
+                cur.append(_unescape(_decode_bytes(rest)))
         elif name in _LINE_BLOCKS:
             flush(force=closing)  # empty line block -> empty line
         elif name == b"br":
@@ -210,7 +250,6 @@ def extract_main_content(buf: bytes) -> bytes:
     lines: list[tuple[str, tuple[int, ...], int]] = []  # (text, path, link_chars)
     cur: list[str] = []
     cur_link = 0
-    suppress_depth = 0
     link_depth = 0
     stack: list[tuple[bytes, int]] = []  # (tag, node id)
     node_tags: dict[int, bytes] = {}
@@ -225,26 +264,15 @@ def extract_main_content(buf: bytes) -> bytes:
         if text or force:
             lines.append((text, tuple(nid for _, nid in stack), link))
 
-    for text, closing, name, rest in _markup(buf):
-        if suppress_depth == 0:
-            if text:
-                s = _unescape(_decode_bytes(text))
-                cur.append(s)
-                if link_depth > 0:
-                    cur_link += len(s)
-            if name is None:
-                if rest:
-                    cur.append(_unescape(_decode_bytes(rest)))
-                continue
-        elif name is None:
-            continue
-        if name in _SUPPRESS:
-            if closing:
-                suppress_depth = max(0, suppress_depth - 1)
-            elif not rest.rstrip().endswith(b"/"):
-                suppress_depth += 1
-        elif suppress_depth > 0:
-            continue
+    for text, closing, name, rest in _markup(buf, suppress=True):
+        if text:
+            s = _unescape(_decode_bytes(text))
+            cur.append(s)
+            if link_depth > 0:
+                cur_link += len(s)
+        if name is None:
+            if rest:
+                cur.append(_unescape(_decode_bytes(rest)))
         elif name == b"a":
             link_depth = max(0, link_depth - 1) if closing else link_depth + 1
         elif name == b"br":

@@ -148,16 +148,7 @@ class Lexer:
     ``bytes`` (not memoryview: indexing must yield ints and slices bytes).
     """
 
-    __slots__ = (
-        "buffer",
-        "start",
-        "i",
-        "token_head_i",
-        "byte",
-        "has_iobj_start",
-        "has_iobj_end",
-        "tokens",
-    )
+    __slots__ = ("buffer", "start", "has_iobj_start", "has_iobj_end", "tokens")
 
     def __init__(self, buffer: bytes, buffer_start_offset: int = 0):
         if len(buffer) == 0:
@@ -165,9 +156,6 @@ class Lexer:
             raise LexerError("UnexpectedByte", buffer_start_offset)
         self.buffer = buffer
         self.start = buffer_start_offset
-        self.i = 0
-        self.token_head_i = 0
-        self.byte = buffer[0]
         self.has_iobj_start = False
         self.has_iobj_end = False
         self.tokens: list[tuple] = []
@@ -194,19 +182,11 @@ class Lexer:
     def tokenize(self) -> None:
         buf = self.buffer
         n = len(buf)
-        i = self.i
-        head = self.token_head_i
+        i = head = 0
         start = self.start
         tokens = self.tokens
 
-        def sync():
-            self.i = i
-            self.token_head_i = head
-            if i < n:
-                self.byte = buf[i]
-
         def err(kind: str) -> LexerError:
-            sync()
             return LexerError(kind, start + head)
 
         def cancel():
@@ -380,8 +360,6 @@ class Lexer:
                     raise err("UndefinedKeyword")
                 tokens.append((K_IOBJ_END, None, start + head))
                 self.has_iobj_end = True
-                i = head = j
-                sync()
                 return
 
             if buf.startswith(b"stream", i):
@@ -401,8 +379,6 @@ class Lexer:
                 tokens.append(
                     (K_STREAM_START, start + eol_end + 1, start + head)
                 )
-                i = head = eol_end
-                sync()
                 return
 
             matched_kw = None
@@ -422,5 +398,3 @@ class Lexer:
                 continue
 
             raise err("UndefinedKeyword")
-
-        sync()

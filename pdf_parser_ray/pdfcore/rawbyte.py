@@ -143,13 +143,6 @@ def first_match_eol(buffer) -> tuple[int, int] | None:
     return None
 
 
-def is_next_satisfy(buffer, i: int, f) -> bool:
-    """Lookahead predicate at ``i + 1`` (src/raw_byte.rs:71-80)."""
-    if (len(buffer) - 1) <= i:
-        return False
-    return f(buffer[i + 1])
-
-
 def extract_after_eol(buffer):
     m = first_match_eol(buffer)
     if m is None:

@@ -553,6 +553,18 @@ def test_outlinks_match_naive(doc):
         b"<p>a</ 3>b<c</p>",
         b"<p>a</p><p",
         b"<div><a>x < y</a></div><div>longer plain text</div>",
+        # suppression, which the scanner owns for the two text consumers
+        b"<nav><aside>a</aside>b</nav>c<p>d</p>",  # nested
+        b"<nav><nav>a</nav>b</nav>c",
+        b"<nav/>a<p>b</p><nav />c",  # self-closing: no depth change
+        b"</nav>a<p>b</p></aside></footer>c",  # closes at depth 0
+        b"<footer><script>x</footer>y</script>z</footer>w",  # raw text inside
+        b"<nav><!-- </nav> -->a</nav>b",  # comment inside
+        b"<nav>a<li class=x b</nav>c",  # ">"-less tag inside
+        b"<navx>a</navx><nav-x>b</nav-x><NAV>c</Nav >d",
+        b"<nav><textarea></nav></textarea>a</nav>b",
+        b"<nav><li>a</textarea>b</li></script>c<p>d",
+        b"<nav>a < b</ 3>c<p>d</p></nav>e",
     ],
 )
 def test_edge_cases_match_naive(doc):
@@ -596,3 +608,74 @@ def test_hostile_markup_is_one_linear_pass(name):
     assert extract_outlinks(buf) == []
     if name == "stray-lt":
         assert text == buf
+    # inside an open <nav> the scanner yields nothing, on the same one scan
+    nav = b"<nav>" + buf
+    assert list(hx._markup(nav, suppress=True)) == []
+    assert extract_html_text(nav) == (b"", [])
+    assert extract_main_content(nav) == b""
+    assert extract_outlinks(nav) == []
+
+
+# -- scanner-owned suppression --
+
+
+def test_suppressed_container_costs_no_events():
+    doc = b"<p>a</p><nav><ul>" + b"<li>x</li>" * 10_000 + b"</ul></nav><p>b</p>"
+    assert list(hx._markup(doc, suppress=True)) == [
+        (None, b"", b"p", b""),
+        (b"a", b"/", b"p", b""),
+        (None, b"", b"p", b""),
+        (b"b", b"/", b"p", b""),
+    ]
+    assert len(list(hx._markup(doc))) == doc.count(b"<")
+
+
+# -- the entity decoder against html.unescape --
+
+import html.entities
+
+_LONG = "CounterClockwiseContourIntegral"  # the longest HTML5 name, 31 chars
+CHARREFS = (
+    ["&" + name for name in html.entities.html5]
+    + ["&" + name[:-1] for name in html.entities.html5 if name.endswith(";")]
+    + ["&ampx", "&ampamp;", "&notin;", "&notit;", "&notin", "&not;x", "&lt3"]
+    + ["&" + _LONG + "x" * k + end for k in range(4) for end in ("", ";")]
+    + ["&" + "a" * k + ";" for k in range(31, 35)]
+    + ["&#0;", "&#xD800;", "&#1114112;", "&#x110000", "&#99999999999999999999;"]
+    + [f"&#{c};" for c in range(0x80, 0xA0)]
+    + [f"&#x{c:X}" for c in range(0x80, 0xA0)]
+)
+entity_text = st.lists(
+    st.one_of(
+        st.sampled_from(CHARREFS),
+        st.text(alphabet="&#;xX0123456789abcdefABCDEF\t\n\f <", max_size=8),
+        st.text(max_size=3),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(entity_text)
+def test_unescape_matches_stdlib(s):
+    assert hx._unescape(s) == _htmlmod.unescape(s)
+
+
+def test_charref_pattern_is_the_stdlib_one():
+    assert hx._CHARREF.pattern == _htmlmod._charref.pattern
+    assert hx._CHARREF.flags == _htmlmod._charref.flags
+
+
+def test_charref_memo_is_bounded():
+    s = "".join(f"&zz{i};&#{i};" for i in range(5_000))
+    assert hx._unescape(s) == _htmlmod.unescape(s)
+    info = hx._charref_text.cache_info()
+    assert info.currsize <= info.maxsize == hx._CHARREF_MEMO
+
+
+def test_plain_run_stops_only_where_the_scanner_must_look():
+    run = b"a<navx>b</nav-x><li class=x>c</LI><Textareax>d"
+    assert hx._PLAIN_RUN.match(run).end() == len(run) - 1
+    for stop in (b"<nav>", b"</NAV >", b"<nav/>", b"<textarea>", b"</script>",
+                 b"<!-- -->", b"<li", b"a < b", b"</ 3>"):
+        assert hx._PLAIN_RUN.match(run + stop).end() == len(run) - 1

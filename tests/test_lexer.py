@@ -242,7 +242,6 @@ pdfish = st.lists(st.sampled_from(_FRAGMENTS), min_size=1, max_size=12).map(
 )
 
 
-from pdf_parser_ray.pdfcore import rawbyte
 from pdf_parser_ray.pdfcore.lexer import (
     K_ARR_END,
     K_ARR_START,
@@ -266,13 +265,23 @@ from pdf_parser_ray.pdfcore.lexer import (
     parse_name,
 )
 
+from test_rawbyte import is_next_satisfy
+
 _HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
 
 
 class NaiveLexer(Lexer):
     """The literal byte-at-a-time port of the reference tokenizer
     (src/lexer.rs:246-688), kept as the oracle of
-    ``Lexer.tokenize``: same tokens, offsets, errors and halt points."""
+    ``Lexer.tokenize``: same tokens, offsets, errors and halt points.
+    Its cursor (``i``, ``byte``, ``token_head_i``) lives on the object,
+    as in the reference."""
+
+    def __init__(self, buffer: bytes, buffer_start_offset: int = 0):
+        super().__init__(buffer, buffer_start_offset)
+        self.i = 0
+        self.token_head_i = 0
+        self.byte = buffer[0]
 
     # -- cursor helpers (src/lexer.rs:246-345) --
 
@@ -337,7 +346,7 @@ class NaiveLexer(Lexer):
                 continue
 
             if byte == 13:  # CR (CRLF is one EOL)
-                if rawbyte.is_next_satisfy(buf, self.i, lambda b: b == 10):
+                if is_next_satisfy(buf, self.i, lambda b: b == 10):
                     self._move()
                 self._move()
                 is_comment = False

@@ -6,6 +6,14 @@ from pdf_parser_ray.pdfcore import rawbyte as rb
 BUF = b"hogehoge target jjjj\n\rhoge"
 
 
+def is_next_satisfy(buffer, i: int, f) -> bool:
+    """Lookahead predicate at ``i + 1`` (src/raw_byte.rs:71-80); only
+    the byte-at-a-time lexer oracle, ``NaiveLexer``, calls it."""
+    if (len(buffer) - 1) <= i:
+        return False
+    return f(buffer[i + 1])
+
+
 def test_skip_eol_1():
     assert rb.extract_after_eol(b"  kjkj\n") == b""
 
@@ -102,9 +110,9 @@ def test_first_match_eol_variants():
 
 
 def test_is_next_satisfy_bounds():
-    assert rb.is_next_satisfy(b"ab", 0, lambda b: b == ord("b"))
-    assert not rb.is_next_satisfy(b"ab", 1, lambda b: True)
-    assert not rb.is_next_satisfy(b"", 0, lambda b: True)
+    assert is_next_satisfy(b"ab", 0, lambda b: b == ord("b"))
+    assert not is_next_satisfy(b"ab", 1, lambda b: True)
+    assert not is_next_satisfy(b"", 0, lambda b: True)
 
 
 # -- fast-path equivalence (hypothesis property tests) --
