@@ -62,11 +62,17 @@ _CONTAINER_BLOCKS = frozenset(
     b" tfoot tr figure details hr address fieldset".split()
 )
 
-# the common event: the text run before a "<" (None when empty or
-# whitespace-only) and the tag it opens; possessive, so a ">"-less tail
+# the tag grammar, written once for _EVENT_RE and _PLAIN_RUN: a name,
+# then its body up to the first ">"; possessive, so a ">"-less tail
 # costs one linear pass
+_NAME_CHAR = rb"[a-zA-Z0-9-]"
+_TAG_NAME = rb"[a-zA-Z]" + _NAME_CHAR + rb"*+"
+_TAG_BODY = rb"[^>]*+"
+
+# the common event: the text run before a "<" (None when empty or
+# whitespace-only) and the tag it opens
 _EVENT_RE = re.compile(
-    rb"(?:\s*+(?=<)|([^<]*+))<(/?)([a-zA-Z][a-zA-Z0-9-]*+)([^>]*+)>"
+    rb"(?:\s*+(?=<)|([^<]*+))<(/?)(" + _TAG_NAME + rb")(" + _TAG_BODY + rb")>"
 )
 # comment, CDATA, doctype or processing instruction; unterminated runs to the end
 _SKIP_RE = re.compile(
@@ -79,18 +85,20 @@ _RAWTEXT_CLOSE = {
 }
 
 # while suppressed: a run of text-plus-tag events whose tag neither
-# changes the depth nor opens a raw-text element, skipped in one match;
-# possessive, so a ">"-less tail costs one linear pass
+# changes the depth nor opens a raw-text element, skipped in one match
 _PLAIN_RUN = re.compile(
     rb"(?:[^<]*+</?+(?!(?:"
     + b"|".join(sorted(_SUPPRESS.union(_RAWTEXT_CLOSE)))
-    + rb")(?![a-zA-Z0-9-]))[a-zA-Z][a-zA-Z0-9-]*+[^>]*+>)*+",
+    + rb")(?!" + _NAME_CHAR + rb"))" + _TAG_NAME + _TAG_BODY + rb">)*+",
     re.IGNORECASE,
 )
 
 # html._charref, copied: a test pins it against the standard library's
 _CHARREF = re.compile(r"&(#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;]{1,32};?)")
 _CHARREF_MEMO = 1024
+# the longest charref the memo keeps, above any named ref (32 characters
+# and ";"); numeric refs have no length limit and are not memoized past it
+_CHARREF_MEMO_KEY = 34
 
 
 @functools.lru_cache(maxsize=_CHARREF_MEMO)
@@ -103,11 +111,16 @@ def _unescape(s: str) -> str:
     callback per entity. ``html.unescape`` replaces each ``_CHARREF``
     match by a value that depends only on the match's group, and the
     group alone (``"&" + ref``) matches the same way, so decoding the
-    odd pieces of the split one at a time gives the same string."""
+    odd pieces of the split one at a time gives the same string. A
+    string with a ref longer than ``_CHARREF_MEMO_KEY`` goes to
+    ``html.unescape`` whole, so the memo holds only short keys."""
     if "&" not in s:
         return s
     parts = _CHARREF.split(s)
-    parts[1::2] = map(_charref_text, parts[1::2])
+    refs = parts[1::2]
+    if max(map(len, refs), default=0) > _CHARREF_MEMO_KEY:
+        return _htmlmod.unescape(s)
+    parts[1::2] = map(_charref_text, refs)
     return "".join(parts)
 
 

@@ -148,7 +148,7 @@ class Lexer:
     ``bytes`` (not memoryview: indexing must yield ints and slices bytes).
     """
 
-    __slots__ = ("buffer", "start", "has_iobj_start", "has_iobj_end", "tokens")
+    __slots__ = ("buffer", "start", "i", "has_iobj_start", "has_iobj_end", "tokens")
 
     def __init__(self, buffer: bytes, buffer_start_offset: int = 0):
         if len(buffer) == 0:
@@ -156,6 +156,7 @@ class Lexer:
             raise LexerError("UnexpectedByte", buffer_start_offset)
         self.buffer = buffer
         self.start = buffer_start_offset
+        self.i = 0
         self.has_iobj_start = False
         self.has_iobj_end = False
         self.tokens: list[tuple] = []
@@ -360,6 +361,7 @@ class Lexer:
                     raise err("UndefinedKeyword")
                 tokens.append((K_IOBJ_END, None, start + head))
                 self.has_iobj_end = True
+                self.i = j
                 return
 
             if buf.startswith(b"stream", i):
@@ -379,6 +381,7 @@ class Lexer:
                 tokens.append(
                     (K_STREAM_START, start + eol_end + 1, start + head)
                 )
+                self.i = eol_end
                 return
 
             matched_kw = None
@@ -398,3 +401,5 @@ class Lexer:
                 continue
 
             raise err("UndefinedKeyword")
+
+        self.i = i

@@ -673,6 +673,16 @@ def test_charref_memo_is_bounded():
     assert info.currsize <= info.maxsize == hx._CHARREF_MEMO
 
 
+def test_long_charref_is_not_memoized():
+    hx._charref_text.cache_clear()
+    s = "&#x" + "0" * 100_000 + "41;&amp;"
+    assert hx._unescape(s) == _htmlmod.unescape(s) == "A&"
+    assert hx._charref_text.cache_info().currsize == 0
+    s = "&amp;&#x" + "0" * (hx._CHARREF_MEMO_KEY - 5) + "41;"
+    assert hx._unescape(s) == _htmlmod.unescape(s) == "&A"
+    assert hx._charref_text.cache_info().currsize == 2
+
+
 def test_plain_run_stops_only_where_the_scanner_must_look():
     run = b"a<navx>b</nav-x><li class=x>c</LI><Textareax>d"
     assert hx._PLAIN_RUN.match(run).end() == len(run) - 1

@@ -274,12 +274,11 @@ class NaiveLexer(Lexer):
     """The literal byte-at-a-time port of the reference tokenizer
     (src/lexer.rs:246-688), kept as the oracle of
     ``Lexer.tokenize``: same tokens, offsets, errors and halt points.
-    Its cursor (``i``, ``byte``, ``token_head_i``) lives on the object,
-    as in the reference."""
+    Its whole cursor (``i``, ``byte``, ``token_head_i``) lives on the
+    object, as in the reference."""
 
     def __init__(self, buffer: bytes, buffer_start_offset: int = 0):
         super().__init__(buffer, buffer_start_offset)
-        self.i = 0
         self.token_head_i = 0
         self.byte = buffer[0]
 
@@ -536,7 +535,7 @@ def run_lexer(buf, naive):
     lx = NaiveLexer(buf, 7)
     try:
         (lx.tokenize_naive if naive else lx.tokenize)()
-        outcome = ("ok", lx.tokens, lx.has_unbalanced_indirectobj())
+        outcome = ("ok", lx.tokens, lx.has_unbalanced_indirectobj(), lx.i)
     except LexerError as e:
         outcome = ("err", e.kind, e.byte_offset, lx.tokens)
     return outcome
